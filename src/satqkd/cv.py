@@ -42,18 +42,19 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .gaussian import (
-    UnphysicalStateError,
-    symplectic_form,
     thermal_entropy,
+    thermal_entropy_float,
     von_neumann_entropy,
 )
 
 # Feasibility comparisons tolerate this much floating-point slack.
 _FEAS_TOL = 1e-12
 
-# Conditioning large covariance matrices cancels large like terms, so the
-# engine accepts symplectic eigenvalues down to 1 - 1e-6 as numerical noise
-# (the gaussian-core default of 1e-9 is tuned for O(1) matrices).
+# The dense bounds (holevo_rr, holevo_dr_m1) condition large covariance
+# matrices, which cancels large like terms, so they accept symplectic
+# eigenvalues down to 1 - 1e-6 as numerical noise (the gaussian-core default
+# of 1e-9 is tuned for O(1) matrices).  The closed-form kernel behind the
+# rates (_chi) does not cancel, and clamps its spectra at 1.
 _ENGINE_FLOOR_TOL = 1e-6
 
 _DEFAULT_V = {"rr": 300.0, "dr-m1": 1e7, "dr-m2": 1e7}
@@ -180,46 +181,44 @@ def solve_attack(scenario: CvScenario, obs: ChannelObservation) -> AttackSolutio
     never an exception.
     """
     t_ch = obs.t_channel
-    xi_rx = t_ch * obs.xi
-    bypass_amp = math.sqrt((1.0 - scenario.eta_ae) * scenario.eta_s * (1.0 - scenario.eta_t))
+    return AttackSolution(*_attack(scenario.eta_ae, scenario.eta_s, scenario.eta_t,
+                                   t_ch, t_ch * obs.xi, scenario.v_s))
+
+
+def _attack(eta_ae: float, eta_s: float, eta_t: float, t_ch: float, xi_rx: float,
+            v_s: float) -> "tuple[float, float, bool, str]":
+    """:func:`solve_attack` on plain floats: (eta_e, v_e, feasible, reason)."""
+    bypass_amp = math.sqrt((1.0 - eta_ae) * eta_s * (1.0 - eta_t))
     direct_amp = math.sqrt(t_ch) - bypass_amp
     if direct_amp < -_FEAS_TOL:
-        return AttackSolution(0.0, 1.0, False, "bypass alone exceeds the observed transmissivity")
+        return 0.0, 1.0, False, "bypass alone exceeds the observed transmissivity"
     direct_amp = max(direct_amp, 0.0)
-    denom_e = scenario.eta_ae * scenario.eta_t
+    denom_e = eta_ae * eta_t
     if denom_e <= 0.0:
         if direct_amp <= _FEAS_TOL:
             # Degenerate: Eve's path carries nothing, so her settings are moot;
             # still need the noise budget to close below.
             eta_e = 1.0
         else:
-            return AttackSolution(
-                0.0, 1.0, False, "no eavesdropper path but a direct amplitude is required"
-            )
+            return 0.0, 1.0, False, "no eavesdropper path but a direct amplitude is required"
     else:
         eta_e = direct_amp * direct_amp / denom_e
         if eta_e > 1.0 + 1e-9:
-            return AttackSolution(
-                min(eta_e, 1.0), 1.0, False,
-                "required cloner transmissivity exceeds 1 (observed channel too good)",
-            )
+            return (min(eta_e, 1.0), 1.0, False,
+                    "required cloner transmissivity exceeds 1 (observed channel too good)")
         eta_e = min(eta_e, 1.0)
-    thermal_extra = (1.0 - scenario.eta_s) * (1.0 - scenario.eta_t) * (scenario.v_s - 1.0)
+    thermal_extra = (1.0 - eta_s) * (1.0 - eta_t) * (v_s - 1.0)
     residual = xi_rx - thermal_extra
-    denom_n = (1.0 - eta_e) * scenario.eta_t
+    denom_n = (1.0 - eta_e) * eta_t
     if denom_n <= _FEAS_TOL:
         if abs(residual) <= 1e-9:
-            return AttackSolution(eta_e, 1.0, True)
-        return AttackSolution(
-            eta_e, 1.0, False, "transparent cloner cannot account for the excess-noise budget"
-        )
+            return eta_e, 1.0, True, ""
+        return eta_e, 1.0, False, "transparent cloner cannot account for the excess-noise budget"
     v_e = 1.0 + residual / denom_n
     if v_e < 1.0 - 1e-9:
-        return AttackSolution(
-            eta_e, max(v_e, 0.0), False,
-            "environment noise through the combiner already exceeds the observed excess noise",
-        )
-    return AttackSolution(eta_e, max(v_e, 1.0), True)
+        return (eta_e, max(v_e, 0.0), False,
+                "environment noise through the combiner already exceeds the observed excess noise")
+    return eta_e, max(v_e, 1.0), True, ""
 
 
 def build_cm(scenario: CvScenario, attack: AttackSolution) -> np.ndarray:
@@ -323,17 +322,8 @@ def holevo_dr_m2_bound(eta_ae: float, v: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vectorised evaluation over (eta_s, eta_t) hypotheses.
+# Closed-form Holevo kernel: arrays for the bypass grid, floats for the polish.
 # ---------------------------------------------------------------------------
-
-_OMEGA4 = symplectic_form(2)
-
-
-def _batched_entropy(blocks: np.ndarray) -> np.ndarray:
-    """Entropies (bits) of a stack of 4x4 covariance matrices, noise-floored at nu=1."""
-    mods = np.sort(np.abs(np.linalg.eigvals(_OMEGA4 @ blocks)), axis=-1)
-    nus = np.maximum(0.5 * (mods[..., 0::2] + mods[..., 1::2]), 1.0)
-    return np.sum(thermal_entropy(nus), axis=-1)
 
 
 def _solve_attack_arrays(eta_ae, eta_s, eta_t, t_ch, xi_rx, v_s):
@@ -356,45 +346,82 @@ def _solve_attack_arrays(eta_ae, eta_s, eta_t, t_ch, xi_rx, v_s):
     return eta_e, v_e, feasible
 
 
-def _chi_arrays(mode: CvMode, eta_ae, eta_e, v_e, eta_s, eta_t, v, v_s, t_ch, xi_rx):
-    """Holevo bound per grid point, from closed-form covariance entries.
+def _nu_pair(tr, root_det):
+    """Symplectic eigenvalues (nu+, nu-) of a two-mode state with V = X (+) P.
 
-    The direct-reconciliation conditional uses the identity
-    v_e_out - eta_ae (1-eta_e)(v-1) = (1-eta_e) + eta_e v_e, evaluated on the
-    right-hand side so that no large-number cancellation ever happens in
-    floating point (matters for v ~ 1e7 and beyond).
+    nu+^2 and nu-^2 are the eigenvalues of the 2x2 product XP: with
+    tr = tr(XP) and root_det = sqrt(det X det P), nu+^2 is
+    (tr + sqrt(tr^2 - 4 root_det^2)) / 2 and nu- = root_det / nu+, which
+    keeps full relative precision however close nu- is to 1.  ``abs`` takes
+    care of a discriminant rounded below 0 at degeneracy, where the entropy
+    sum is stationary in the split between nu+ and nu-.  ``root_det`` must
+    be >= 0.
     """
-    c = math.sqrt(v * v - 1.0)
-    c_e = np.sqrt(np.maximum(v_e * v_e - 1.0, 0.0))
-    collected = eta_ae * (v - 1.0) + 1.0
-    v_e_out = (1.0 - eta_e) * collected + eta_e * v_e
-    c_ee_out = np.sqrt(eta_e) * c_e
+    nu_p = (0.5 * (tr + abs(tr * tr - 4.0 * root_det * root_det) ** 0.5)) ** 0.5
+    return nu_p, root_det / nu_p
 
-    shape = np.broadcast_shapes(np.shape(eta_e), np.shape(v_e),
-                                np.shape(eta_s), np.shape(eta_t))
-    eve = np.zeros(shape + (4, 4))
-    eve[..., 0, 0] = eve[..., 1, 1] = v_e
-    eve[..., 2, 2] = eve[..., 3, 3] = v_e_out
-    eve[..., 0, 2] = eve[..., 2, 0] = c_ee_out
-    eve[..., 1, 3] = eve[..., 3, 1] = -c_ee_out
-    h_eve = _batched_entropy(eve)
 
-    cond = eve.copy()
+def _chi(mode: CvMode, entropy, eta_ae, eta_e, v_e, eta_s, eta_t, v, t_ch, xi_rx):
+    """Holevo bound from closed-form covariance entries and symplectic spectra.
+
+    Works on floats and on broadcastable arrays alike: only arithmetic,
+    ``abs`` and ``** 0.5`` touch the inputs, and ``entropy`` is the g(nu) of
+    the matching type, clamped at nu = 1.
+
+    Every state here keeps x and p apart (the cross blocks are multiples of
+    I and Z), so V = X (+) P, and the two symplectic eigenvalues follow from
+    tr(XP) and det X det P [Serafini, Illuminati, De Siena, J. Phys. B 37,
+    L21 (2004); Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)].  Eve's
+    modes (E, E') have X = [[v_e, c], [c, v_e']] and P = Z X Z, where
+    c^2 = eta_e (v_e^2 - 1), v_e' = (1-eta_e) w + eta_e v_e and
+    w = eta_ae (v-1) + 1 is the variance of the collected beam.  Written
+    out, the invariants carry no cancellation:
+
+        det X  = (1-eta_e) v_e w + eta_e,
+        tr(XP) = (1-eta_e)^2 (v_e - w)^2 + 2 det X.
+
+    Reverse reconciliation: Bob's x homodyne (variance v_b) updates X by
+    -u u^T / v_b, with u = (c_be, c_be') his x covariances with (E, E'), so
+    tr(X'P) = tr(XP) - u^T P u / v_b and det X' = det X - u^T adj(X) u / v_b.
+
+    Direct reconciliation, method 1: Alice's heterodyne maps v_e' in X to
+    v_e' - eta_ae (1-eta_e)(v-1) = (1-eta_e) + eta_e v_e, so
+
+        det X'  = (1-eta_e) v_e + eta_e,
+        tr(X'P) = (1-eta_e)^2 (v_e^2 + w) + eta_e (1-eta_e) v_e (w+1) + 2 eta_e.
+
+    Near the cloner limit eta_e -> 1, v_e grows as 1 / (1-eta_e); with
+    v ~ 1e7 the dense matrix entries then cancel by eight digits or more,
+    while these forms do not.
+    """
+    refl = 1.0 - eta_e  # cloner reflectivity
+    w = eta_ae * (v - 1.0) + 1.0
+    det_e = refl * v_e * w + eta_e
+    gap = refl * (v_e - w)
+    tr_e = gap * gap + 2.0 * det_e
     if mode is CvMode.RR:
         v_b = t_ch * (v - 1.0) + 1.0 + xi_rx
-        c_be = np.sqrt((1.0 - eta_e) * eta_t) * c_e
-        c_be_out = np.sqrt(eta_e * (1.0 - eta_e) * eta_t) * (v_e - collected) \
-            - np.sqrt(eta_ae * (1.0 - eta_ae) * (1.0 - eta_e) * eta_s * (1.0 - eta_t)) * (v - 1.0)
-        cond[..., 0, 0] -= c_be * c_be / v_b
-        cond[..., 2, 2] -= c_be_out * c_be_out / v_b
-        cross = c_be * c_be_out / v_b
-        cond[..., 0, 2] -= cross
-        cond[..., 2, 0] -= cross
+        c_e = (v_e * v_e - 1.0) ** 0.5
+        c = eta_e ** 0.5 * c_e
+        v_e_out = refl * w + eta_e * v_e
+        p = (refl * eta_t) ** 0.5 * c_e
+        q = (eta_e * refl * eta_t) ** 0.5 * (v_e - w) \
+            - (eta_ae * (1.0 - eta_ae) * refl * eta_s * (1.0 - eta_t)) ** 0.5 * (v - 1.0)
+        pp, pq, qq = p * p, p * q, q * q
+        tr_c = tr_e - (v_e * pp - 2.0 * c * pq + v_e_out * qq) / v_b
+        det_c = det_e - (v_e_out * pp - 2.0 * c * pq + v_e * qq) / v_b
     elif mode is CvMode.DR_M1:
-        cond[..., 2, 2] = (1.0 - eta_e) + eta_e * v_e
+        det_c = refl * v_e + eta_e
+        tr_c = refl * refl * (v_e * v_e + w) + eta_e * refl * v_e * (w + 1.0) + 2.0 * eta_e
     else:
         raise ValueError(f"no covariance-based bound for mode {mode}")
-    return h_eve - _batched_entropy(cond)
+    e_p, e_m = _nu_pair(tr_e, det_e)
+    c_p, c_m = _nu_pair(tr_c, abs(det_c * det_e) ** 0.5)
+    return entropy(e_p) + entropy(e_m) - entropy(c_p) - entropy(c_m)
+
+
+def _entropy_arrays(nu):
+    return thermal_entropy(np.maximum(nu, 1.0))
 
 
 def _rates_on_arrays(mode, scenario_like, obs, eta_s, eta_t):
@@ -404,9 +431,68 @@ def _rates_on_arrays(mode, scenario_like, obs, eta_s, eta_t):
     xi_rx = t_ch * obs.xi
     eta_e, v_e, feasible = _solve_attack_arrays(eta_ae, eta_s, eta_t, t_ch, xi_rx, v_s)
     i_ab = mutual_info(obs, v)
-    chi = _chi_arrays(mode, eta_ae, eta_e, v_e, eta_s, eta_t, v, v_s, t_ch, xi_rx)
+    with np.errstate(invalid="ignore", divide="ignore"):  # infeasible lanes may be unphysical
+        chi = _chi(mode, _entropy_arrays, eta_ae, eta_e, v_e, eta_s, eta_t, v, t_ch, xi_rx)
     rate = beta * i_ab - chi
     return np.where(feasible, rate, np.inf), feasible
+
+
+def _polish_objective(mode, scenario_like, obs):
+    """Float twin of :func:`_rates_on_arrays` for one hypothesis x = (eta_s, eta_t).
+
+    Feasibility follows :func:`solve_attack` (which, unlike the grid, also
+    admits eta_t = 0 when the bypass alone delivers the light) and the rate
+    the same kernel :func:`_chi`, on Python floats; +inf outside the unit
+    square and where no attack reproduces the observation.
+    """
+    eta_ae, v, beta, v_s = scenario_like
+    t_ch = obs.t_channel
+    xi_rx = t_ch * obs.xi
+    key = beta * mutual_info(obs, v)
+
+    def objective(x):
+        eta_s, eta_t = x.tolist()
+        if not (0.0 <= eta_s <= 1.0 and 0.0 <= eta_t <= 1.0):
+            return math.inf
+        eta_e, v_e, feasible, _ = _attack(eta_ae, eta_s, eta_t, t_ch, xi_rx, v_s)
+        if not feasible:
+            return math.inf
+        return key - _chi(mode, thermal_entropy_float, eta_ae, eta_e, v_e,
+                          eta_s, eta_t, v, t_ch, xi_rx)
+
+    return objective
+
+
+def _ceiling_minimum(objective, eta_ae: float, obs: ChannelObservation):
+    """Lowest ``objective`` along the bypass ceiling: (rate, eta_s, eta_t).
+
+    The ceiling eta_s = min(1, t_channel / ((1-eta_ae)(1-eta_t))) is where
+    the bypass carries all the light it may; the reverse-reconciliation
+    minimiser lies on it, near 1 - eta_t ~ t_channel.  It is curved in
+    (eta_s, eta_t), and a Nelder-Mead simplex started at a grid node beside
+    it can stall against its infeasible side.  Scan log10(1 - eta_t) over
+    [-8, 0], then narrow the best bracket by golden section.
+    """
+    def on_ceiling(log_u):
+        eta_t = 1.0 - 10.0 ** log_u
+        eta_s = min(1.0, max_bypass_transmissivity(eta_ae, eta_t, obs))
+        return objective(np.array([eta_s, eta_t])), log_u, eta_s, eta_t
+
+    scan = [on_ceiling(x) for x in np.linspace(-8.0, 0.0, 33).tolist()]
+    i = min(range(len(scan)), key=lambda k: scan[k][0])
+    lo, hi = scan[max(i - 1, 0)][1], scan[min(i + 1, len(scan) - 1)][1]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a = on_ceiling(hi - inv_phi * (hi - lo))
+    b = on_ceiling(lo + inv_phi * (hi - lo))
+    for _ in range(40):
+        if a[0] <= b[0]:
+            hi, b = b[1], a
+            a = on_ceiling(hi - inv_phi * (hi - lo))
+        else:
+            lo, a = a[1], b
+            b = on_ceiling(lo + inv_phi * (hi - lo))
+    rate, _, eta_s, eta_t = min(scan[i], a, b, key=lambda r: r[0])
+    return rate, eta_s, eta_t
 
 
 def key_rate_point(scenario: CvScenario, obs: ChannelObservation, mode) -> float:
@@ -429,11 +515,8 @@ def holevo_bound(scenario: CvScenario, obs: ChannelObservation, mode) -> float:
     if not attack.feasible:
         raise InfeasibleAttackError(attack.reason)
     t_ch = obs.t_channel
-    xi_rx = t_ch * obs.xi
-    chi = _chi_arrays(mode, scenario.eta_ae, np.asarray(attack.eta_e),
-                      np.asarray(attack.v_e), np.asarray(scenario.eta_s),
-                      np.asarray(scenario.eta_t), scenario.v, scenario.v_s, t_ch, xi_rx)
-    return float(chi)
+    return float(_chi(mode, thermal_entropy_float, scenario.eta_ae, attack.eta_e, attack.v_e,
+                      scenario.eta_s, scenario.eta_t, scenario.v, t_ch, t_ch * obs.xi))
 
 
 def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode, *,
@@ -444,7 +527,8 @@ def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode, *,
 
     A ``grid_points`` x ``grid_points`` scan of the unit square is optionally
     polished by deterministic Nelder-Mead descents from the five best grid
-    points.  Also reports the no-bypass rate (eta_s=0, eta_t=1) when that
+    points and a 1-D search along the bypass ceiling
+    (:func:`_ceiling_minimum`).  Also reports the no-bypass rate (eta_s=0, eta_t=1) when that
     attack is feasible; below eta_ae < t_channel it is not, and ``None`` is
     returned for it.
 
@@ -486,13 +570,7 @@ def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode, *,
     best_t = float(tt.ravel()[best_idx])
 
     if refine:
-        def objective(x):
-            es, et = x
-            if not (0.0 <= es <= 1.0 and 0.0 <= et <= 1.0):
-                return np.inf
-            val, feas = _rates_on_arrays(mode, params, obs, np.asarray(es), np.asarray(et))
-            return float(val) if feas else np.inf
-
+        objective = _polish_objective(mode, params, obs)
         n_seeds = min(5, n_feasible)
         for k in range(n_seeds):
             idx = int(order[k])
@@ -502,6 +580,9 @@ def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode, *,
             if np.isfinite(res.fun) and res.fun < best_rate:
                 best_rate = float(res.fun)
                 best_s, best_t = float(res.x[0]), float(res.x[1])
+        rate, eta_s, eta_t = _ceiling_minimum(objective, eta_ae, obs)
+        if rate < best_rate:
+            best_rate, best_s, best_t = rate, eta_s, eta_t
 
     nb = rate_nobypass()
 

@@ -81,6 +81,19 @@ def thermal_entropy(nu):
     return out
 
 
+def thermal_entropy_float(nu: float) -> float:
+    """:func:`thermal_entropy` for one Python float, in plain ``math``.
+
+    Same expression, without NumPy dispatch, for inner loops that call it a
+    few times per evaluation.  No floor check: any nu below ``1 + 1e-12``
+    gives 0, i.e. the spectrum is clamped at the vacuum value nu = 1.
+    """
+    x = nu - 1.0
+    if x < _ENTROPY_CUTOFF:
+        return 0.0
+    return math.log2(0.5 * (nu + 1.0)) + 0.5 * x * math.log1p(2.0 / x) / LN2
+
+
 def symplectic_eigenvalues(cm: np.ndarray, *, floor_tol: float = SYMPLECTIC_FLOOR_TOL) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, sorted descending.
 

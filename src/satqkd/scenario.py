@@ -159,6 +159,8 @@ def _float(raw: str, where: str) -> float:
         raise ScenarioError(f"{where}: expected a number, got {raw!r}") from None
     if math.isnan(val):
         raise ScenarioError(f"{where}: NaN is not a valid parameter value")
+    if math.isinf(val):
+        raise ScenarioError(f"{where}: infinity is not a valid parameter value")
     return val
 
 

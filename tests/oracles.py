@@ -12,7 +12,8 @@ package is evidence rather than tautology:
   complement instead of the rank-one update;
 * the four-mode conditional state assembled by brute-force six-mode
   symplectic propagation instead of closed-form matrix entries;
-* reverse-reconciliation rates re-evaluated in 50-digit arithmetic;
+* reverse-reconciliation and direct-reconciliation (method 1) rates
+  re-evaluated in 50- to 60-digit arithmetic;
 * photon-count statistics by per-term series and by Monte Carlo instead of
   the aggregated expressions.
 
@@ -206,8 +207,55 @@ def heterodyne_chi_dr(cm8: np.ndarray, v: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# 50-digit reverse-reconciliation rate (v_s = 1)
+# Arbitrary-precision rates (v_s = 1): reverse reconciliation and DR method 1
 # ---------------------------------------------------------------------------
+
+
+def _mp_g(nu):
+    if nu <= 1 + mp.mpf("1e-40"):
+        return mp.mpf(0)
+    a, b = (nu + 1) / 2, (nu - 1) / 2
+    return a * mp.log(a, 2) - b * mp.log(b, 2)
+
+
+def _mp_two_mode(mat):
+    det_a = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+    det_b = mat[2, 2] * mat[3, 3] - mat[2, 3] * mat[3, 2]
+    det_c = mat[0, 2] * mat[1, 3] - mat[0, 3] * mat[1, 2]
+    delta = det_a + det_b + 2 * det_c
+    disc = mp.sqrt(delta ** 2 - 4 * mp.det(mat))
+    return _mp_g(mp.sqrt((delta + disc) / 2)) + _mp_g(mp.sqrt((delta - disc) / 2))
+
+
+def _mp_eve(eta_ae, eta_s, eta_t, t, xi, v):
+    """Attack solve and Eve's (E, E') block at the working precision:
+    returns (eta_e, c_e, collected, eve)."""
+    bypass = mp.sqrt((1 - eta_ae) * eta_s * (1 - eta_t))
+    direct = mp.sqrt(t) - bypass
+    if direct < -mp.mpf("1e-12"):
+        raise ValueError("no attack reproduces these observations")
+    direct = max(direct, mp.mpf(0))
+    eta_e = direct ** 2 / (eta_ae * eta_t)
+    if eta_e > 1:
+        raise ValueError("required cloner transmissivity exceeds 1")
+    v_e = 1 + (t * xi) / ((1 - eta_e) * eta_t)
+
+    c_e = mp.sqrt(v_e * v_e - 1)
+    collected = eta_ae * (v - 1) + 1
+    c_eep = mp.sqrt(eta_e) * c_e
+    v_ep = (1 - eta_e) * collected + eta_e * v_e
+    eve = mp.matrix(4)
+    for i in range(2):
+        eve[i, i] = v_e
+        eve[2 + i, 2 + i] = v_ep
+    eve[0, 2] = eve[2, 0] = c_eep
+    eve[1, 3] = eve[3, 1] = -c_eep
+    return eta_e, c_e, collected, eve
+
+
+def _mp_mutual_info(t, xi, v):
+    chi_tot = (1 - t) / t + xi
+    return mp.log((v + chi_tot) / (1 + chi_tot), 2) / 2
 
 
 def mp_rate_rr(eta_ae: float, eta_s: float, eta_t: float,
@@ -222,57 +270,38 @@ def mp_rate_rr(eta_ae: float, eta_s: float, eta_t: float,
     with mp.workdps(dps):
         eta_ae, eta_s, eta_t = mp.mpf(eta_ae), mp.mpf(eta_s), mp.mpf(eta_t)
         t, xi, v = mp.mpf(t_eq), mp.mpf(xi), mp.mpf(v)
-
-        def g(nu):
-            if nu <= 1 + mp.mpf("1e-40"):
-                return mp.mpf(0)
-            a, b = (nu + 1) / 2, (nu - 1) / 2
-            return a * mp.log(a, 2) - b * mp.log(b, 2)
-
-        def two_mode(mat):
-            det_a = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-            det_b = mat[2, 2] * mat[3, 3] - mat[2, 3] * mat[3, 2]
-            det_c = mat[0, 2] * mat[1, 3] - mat[0, 3] * mat[1, 2]
-            delta = det_a + det_b + 2 * det_c
-            disc = mp.sqrt(delta ** 2 - 4 * mp.det(mat))
-            return (g(mp.sqrt((delta + disc) / 2))
-                    + g(mp.sqrt((delta - disc) / 2)))
-
-        bypass = mp.sqrt((1 - eta_ae) * eta_s * (1 - eta_t))
-        direct = mp.sqrt(t) - bypass
-        if direct < -mp.mpf("1e-12"):
-            raise ValueError("no attack reproduces these observations")
-        direct = max(direct, mp.mpf(0))
-        eta_e = direct ** 2 / (eta_ae * eta_t)
-        if eta_e > 1:
-            raise ValueError("required cloner transmissivity exceeds 1")
-        v_e = 1 + (t * xi) / ((1 - eta_e) * eta_t)
-
-        c_e = mp.sqrt(v_e * v_e - 1)
-        collected = eta_ae * (v - 1) + 1
+        eta_e, c_e, collected, eve = _mp_eve(eta_ae, eta_s, eta_t, t, xi, v)
+        v_e = eve[0, 0]
         v_b = t * (v - 1) + 1 + t * xi
         c_be = mp.sqrt((1 - eta_e) * eta_t) * c_e
         c_bep = (mp.sqrt(eta_e * eta_t * (1 - eta_e)) * (v_e - collected)
                  - mp.sqrt(eta_ae * (1 - eta_ae) * (1 - eta_e)
                            * eta_s * (1 - eta_t)) * (v - 1))
-        c_eep = mp.sqrt(eta_e) * c_e
-        v_ep = (1 - eta_e) * collected + eta_e * v_e
-
-        eve = mp.matrix(4)
-        for i in range(2):
-            eve[i, i] = v_e
-            eve[2 + i, 2 + i] = v_ep
-        eve[0, 2] = eve[2, 0] = c_eep
-        eve[1, 3] = eve[3, 1] = -c_eep
-        s_eve = two_mode(eve)
-
         col = mp.matrix([c_be, 0, c_bep, 0])
         cond = eve - (col * col.T) / v_b
-        s_cond = two_mode(cond)
+        chi = _mp_two_mode(eve) - _mp_two_mode(cond)
+        return float(_mp_mutual_info(t, xi, v) - chi)
 
-        chi_tot = (1 - t) / t + xi
-        i_ab = mp.log((v + chi_tot) / (1 + chi_tot), 2) / 2
-        return float(i_ab - (s_eve - s_cond))
+
+def mp_rate_dr_m1(eta_ae: float, eta_s: float, eta_t: float,
+                  t_eq: float, xi: float, v: float, dps: int = 60) -> float:
+    """Key rate for direct reconciliation, method 1, at a fixed bypass
+    hypothesis, in arbitrary precision (vacuum environment).
+
+    Eve's block is conditioned on the x outcome of Alice's heterodyne by the
+    plain rank-one update: Alice's x covariance with E',
+    -sqrt(eta_ae (1 - eta_e) (v^2 - 1)), squared over (v + 1).  With ``dps``
+    digits the large like terms of that update cancel harmlessly, even at
+    the cloner limit.
+    """
+    with mp.workdps(dps):
+        eta_ae, eta_s, eta_t = mp.mpf(eta_ae), mp.mpf(eta_s), mp.mpf(eta_t)
+        t, xi, v = mp.mpf(t_eq), mp.mpf(xi), mp.mpf(v)
+        eta_e, _, _, eve = _mp_eve(eta_ae, eta_s, eta_t, t, xi, v)
+        col = mp.matrix([0, 0, -mp.sqrt(eta_ae * (1 - eta_e) * (v * v - 1)), 0])
+        cond = eve - (col * col.T) / (v + 1)
+        chi = _mp_two_mode(eve) - _mp_two_mode(cond)
+        return float(_mp_mutual_info(t, xi, v) - chi)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,11 @@ import oracles
 from satqkd.cv import (
     AttackSolution,
     ChannelObservation,
+    CvMode,
     CvScenario,
     InfeasibleAttackError,
+    _polish_objective,
+    _rates_on_arrays,
     build_cm,
     holevo_bound,
     holevo_dr_m1,
@@ -321,6 +324,21 @@ def test_rr_rate_matches_high_precision_reference(scn, obs, frozen):
         abs=1e-12)
 
 
+def test_dr_m1_rate_at_the_cloner_limit_matches_high_precision_reference():
+    # eta_s puts the cloner at 1 - eta_e = 1e-6, so v_e ~ 1e7 and Eve's
+    # covariance entries reach ~1e14 in their squares: a dense
+    # eigendecomposition loses the small symplectic eigenvalue here and
+    # misses the rate by ~1e-3 bits.
+    t_eq, xi, v, eta_ae, eta_t = 0.5, 1.0, 1e7, 0.7, 0.05
+    eta_s = (math.sqrt(t_eq) - math.sqrt(eta_ae * eta_t * (1.0 - 1e-6))) ** 2 \
+        / ((1.0 - eta_ae) * (1.0 - eta_t))
+    scn = CvScenario(eta_ae, eta_s, eta_t, v)
+    obs = ChannelObservation(t_eq, xi)
+    assert 1.0 - solve_attack(scn, obs).eta_e == pytest.approx(1e-6, rel=1e-6)
+    assert key_rate_point(scn, obs, "dr-m1") == pytest.approx(
+        oracles.mp_rate_dr_m1(eta_ae, eta_s, eta_t, t_eq, xi, v), abs=1e-9)
+
+
 def test_key_rate_point_raises_on_infeasible_hypothesis():
     with pytest.raises(InfeasibleAttackError):
         key_rate_point(CvScenario(0.5, 0.01, 0.5, 300.0), OBS_NOMINAL, "rr")
@@ -332,6 +350,55 @@ def test_key_rate_point_scales_with_reconciliation_efficiency():
                              OBS_NOMINAL, "rr")
     i_ab = mutual_info(OBS_NOMINAL, 300.0)
     assert partial == pytest.approx(full - 0.05 * i_ab, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the two call paths of the closed-form kernel
+# ---------------------------------------------------------------------------
+
+# Source variances as the scenarios use them: 300 and 3.5 for reverse
+# reconciliation, 1e7 for DR-M1.  Reverse reconciliation at v ~ 1e7 is
+# conditioned to ~1e-9 bits only, in any arithmetic order.
+kernel_draws = st.tuples(
+    st.one_of(st.tuples(st.just(CvMode.RR), st.sampled_from([3.5, 300.0])),
+              st.tuples(st.just(CvMode.DR_M1), st.sampled_from([3.5, 300.0, 1e7]))),
+    st.floats(min_value=0.05, max_value=1.0),   # eta_ae
+    st.floats(min_value=0.0, max_value=1.0),    # eta_s
+    st.floats(min_value=0.05, max_value=1.0),   # eta_t
+    st.floats(min_value=1e-3, max_value=0.9),   # t_eq
+    st.floats(min_value=0.0, max_value=1.2),    # xi
+    st.floats(min_value=1.0, max_value=2.0),    # v_s
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(kernel_draws)
+def test_polish_objective_matches_the_grid_kernel(draw):
+    (mode, v), eta_ae, eta_s, eta_t, t_eq, xi, v_s = draw
+    obs = ChannelObservation(t_eq, xi)
+    params = (eta_ae, v, 0.95, v_s)
+    grid, feasible = _rates_on_arrays(mode, params, obs,
+                                      np.array([eta_s]), np.array([eta_t]))
+    assume(feasible[0])
+    polish = _polish_objective(mode, params, obs)(np.array([eta_s, eta_t]))
+    assert polish == pytest.approx(float(grid[0]), abs=1e-12)
+
+
+@settings(deadline=None, max_examples=150)
+@given(feasible_draws)
+def test_rr_kernel_matches_the_dense_holevo_bound(draw):
+    # build_cm is checked against brute-force propagation above; the dense
+    # eigendecomposition it feeds is accurate while v_e stays moderate.
+    eta_ae, eta_s, eta_t, t_eq, xi, _, v_s = draw
+    v = 300.0
+    scn = CvScenario(eta_ae, eta_s, eta_t, v, v_s=v_s)
+    obs = ChannelObservation(t_eq, xi)
+    sol = solve_attack(scn, obs)
+    assume(sol.feasible and sol.v_e < 1e3)
+    rate, _ = _rates_on_arrays(CvMode.RR, (eta_ae, v, 1.0, v_s), obs,
+                               np.array([eta_s]), np.array([eta_t]))
+    chi = mutual_info(obs, v) - float(rate[0])
+    assert chi == pytest.approx(holevo_rr(build_cm(scn, sol)), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +419,24 @@ def test_worst_case_is_self_consistent():
     assert again == pytest.approx(res.rate, abs=1e-12)
     assert res.rate == pytest.approx(4.8106550429286380e-02, rel=1e-9)
     assert res.rate_nobypass == pytest.approx(5.1618200348502650e-02, rel=1e-9)
+
+
+def test_worst_case_is_no_higher_than_any_point_on_the_bypass_ceiling():
+    # At eta_ae = 1e-4 the minimiser sits where the ceiling
+    # eta_s = t_eq / ((1-eta_ae)(1-eta_t)) reaches eta_s = 1.  Descents
+    # started at grid nodes beside that curved edge stall ~2e-7 bits above it.
+    eta_ae, t_eq, xi, v = 1e-4, 1e-3, 0.1, 300.0
+    res = worst_case_rate(eta_ae, ChannelObservation(t_eq, xi), "rr", v=v)
+    corner = t_eq / (1.0 - eta_ae)
+    along = []
+    for u in corner * 10.0 ** np.linspace(-0.3, 0.3, 25):
+        eta_s = min(1.0, t_eq / ((1.0 - eta_ae) * u))
+        try:
+            along.append(oracles.mp_rate_rr(eta_ae, eta_s, 1.0 - u, t_eq, xi, v))
+        except ValueError:  # no attack at this point of the ceiling
+            pass
+    assert len(along) > 10
+    assert res.rate <= min(along) + 1e-9
 
 
 def test_worst_case_rate_non_increasing_in_collection():

@@ -105,6 +105,15 @@ def test_engine_default_source_variance_is_mode_specific(tmp_path):
     assert rr.params["v"] == 300.0
 
 
+# Infinite values must fail at load time: otherwise the first dies in NumPy
+# mid-run and the second emits -inf rate cells.
+INF_XI = ("[scenario]\nmode = cv-rr\n[sweep]\nvariable = eta_ae\nstart = 0.1\n"
+          "stop = 0.5\npoints = 3\n[params]\nt_eq = 1e-3\nxi = inf\n")
+INF_F = ("[scenario]\nmode = dv-sps\n[sweep]\nvariable = eta_ae\nstart = 0.1\n"
+         "stop = 0.5\npoints = 3\n[params]\neta_ch = 1e-3\neta_d = 0.9\n"
+         "p_dc = 1e-7\ne_d = 0.01\nf = inf\nq = 1\n")
+
+
 @pytest.mark.parametrize("text, match", [
     ("not an ini file at all\n", "cannot parse"),
     ("[scenario]\nmode = cv-rr\n", "missing required section"),
@@ -140,6 +149,10 @@ def test_engine_default_source_variance_is_mode_specific(tmp_path):
      "expected a number"),
     ("[scenario]\nmode = cv-rr\n[sweep]\nvariable = eta_ae\nstart = 0.1\n"
      "stop = 0.5\npoints = 3\n[params]\nt_eq = nan\nxi = 0.1\n", "NaN"),
+    (INF_XI, "infinity"),
+    (INF_F, "infinity"),
+    ("[scenario]\nmode = cv-rr\n[sweep]\nvariable = eta_ae\nstart = 0.1\n"
+     "stop = -inf\npoints = 3\n[params]\nt_eq = 1e-3\nxi = 0.1\n", "infinity"),
     ("[scenario]\nmode = cv-rr\n[sweep]\nvariable = eta_ae\nstart = 0.1\n"
      "stop = 0.5\npoints = 3\n[params]\nt_eq = 1e-3\nxi = 0.1\nrefine = maybe\n",
      "true/false"),
@@ -589,6 +602,14 @@ def test_cli_validation_failure_is_exit_one(tmp_path, capsys):
     assert cli.main(["validate", path]) == 1
     assert cli.main(["run", path]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [INF_XI, INF_F], ids=["cv-rr-xi", "dv-sps-f"])
+def test_cli_infinite_parameter_is_exit_one(tmp_path, capsys, text):
+    path = write(tmp_path, text)
+    assert cli.main(["validate", path]) == 1
+    assert cli.main(["run", path]) == 1
+    assert "infinity" in capsys.readouterr().err
 
 
 def test_cli_runtime_failure_is_exit_two(tmp_path, capsys):
