@@ -221,6 +221,27 @@ def _attack(eta_ae: float, eta_s: float, eta_t: float, t_ch: float, xi_rx: float
     return eta_e, max(v_e, 1.0), True, ""
 
 
+def _collected_variance(eta_ae, v):
+    """Variance w = eta_ae (v - 1) + 1 of the beam the eavesdropper collects."""
+    return eta_ae * (v - 1.0) + 1.0
+
+
+def _eve_entries(eta_ae, eta_e, v_e, eta_s, eta_t, v, w):
+    """(c_be, c_be', c_ee', v_e'): Bob's x covariances with Eve's kept mode E
+    and her cloner output E', the E-E' covariance and the variance of E',
+    given the collected variance ``w``.  Arithmetic and ``** 0.5`` only, so
+    floats and arrays both work; :func:`build_cm` and :func:`_chi` share it.
+    """
+    refl = 1.0 - eta_e  # cloner reflectivity
+    c_e = (v_e * v_e - 1.0) ** 0.5
+    c_be = (refl * eta_t) ** 0.5 * c_e
+    c_be_out = (eta_e * refl * eta_t) ** 0.5 * (v_e - w) \
+        - (eta_ae * (1.0 - eta_ae) * refl * eta_s * (1.0 - eta_t)) ** 0.5 * (v - 1.0)
+    c_ee_out = eta_e ** 0.5 * c_e
+    v_e_out = refl * w + eta_e * v_e
+    return c_be, c_be_out, c_ee_out, v_e_out
+
+
 def build_cm(scenario: CvScenario, attack: AttackSolution) -> np.ndarray:
     """Joint covariance matrix of (Alice, Bob, Eve-kept, Eve-output), 8x8.
 
@@ -233,23 +254,15 @@ def build_cm(scenario: CvScenario, attack: AttackSolution) -> np.ndarray:
     v, v_s = scenario.v, scenario.v_s
     a, s_, t = scenario.eta_ae, scenario.eta_s, scenario.eta_t
     e, v_e = attack.eta_e, attack.v_e
+    c_be, c_be_out, c_ee_out, v_e_out = _eve_entries(
+        a, e, v_e, s_, t, v, _collected_variance(a, v))
     c = math.sqrt(v * v - 1.0)
-    c_e = math.sqrt(max(v_e * v_e - 1.0, 0.0))
-    direct_amp = math.sqrt(a * e * t)
-    bypass_amp = math.sqrt((1.0 - a) * s_ * (1.0 - t))
-    t_amp = direct_amp + bypass_amp
-    collected = a * (v - 1.0) + 1.0  # variance of the beam Eve picked up
-
+    t_amp = math.sqrt(a * e * t) + math.sqrt((1.0 - a) * s_ * (1.0 - t))
     v_b = t_amp * t_amp * (v - 1.0) + 1.0 \
         + (1.0 - e) * t * (v_e - 1.0) \
         + (1.0 - s_) * (1.0 - t) * (v_s - 1.0)
     c_ab = t_amp * c
     c_ae_out = -math.sqrt(a * (1.0 - e)) * c
-    c_be = math.sqrt((1.0 - e) * t) * c_e
-    c_be_out = math.sqrt(e * (1.0 - e) * t) * (v_e - collected) \
-        - math.sqrt(a * (1.0 - a) * (1.0 - e) * s_ * (1.0 - t)) * (v - 1.0)
-    c_ee_out = math.sqrt(e) * c_e
-    v_e_out = (1.0 - e) * collected + e * v_e
 
     eye = np.eye(2)
     z = np.diag([1.0, -1.0])
@@ -317,7 +330,7 @@ def holevo_dr_m2_bound(eta_ae: float, v: float) -> float:
     """
     if not 0.0 <= eta_ae <= 1.0:
         raise ValueError(f"eta_ae must lie in [0, 1], got {eta_ae}")
-    w = eta_ae * (v - 1.0) + 1.0
+    w = _collected_variance(eta_ae, v)
     return float(thermal_entropy(w) - thermal_entropy(math.sqrt(w)))
 
 
@@ -395,18 +408,13 @@ def _chi(mode: CvMode, entropy, eta_ae, eta_e, v_e, eta_s, eta_t, v, t_ch, xi_rx
     while these forms do not.
     """
     refl = 1.0 - eta_e  # cloner reflectivity
-    w = eta_ae * (v - 1.0) + 1.0
+    w = _collected_variance(eta_ae, v)
     det_e = refl * v_e * w + eta_e
     gap = refl * (v_e - w)
     tr_e = gap * gap + 2.0 * det_e
     if mode is CvMode.RR:
         v_b = t_ch * (v - 1.0) + 1.0 + xi_rx
-        c_e = (v_e * v_e - 1.0) ** 0.5
-        c = eta_e ** 0.5 * c_e
-        v_e_out = refl * w + eta_e * v_e
-        p = (refl * eta_t) ** 0.5 * c_e
-        q = (eta_e * refl * eta_t) ** 0.5 * (v_e - w) \
-            - (eta_ae * (1.0 - eta_ae) * refl * eta_s * (1.0 - eta_t)) ** 0.5 * (v - 1.0)
+        p, q, c, v_e_out = _eve_entries(eta_ae, eta_e, v_e, eta_s, eta_t, v, w)
         pp, pq, qq = p * p, p * q, q * q
         tr_c = tr_e - (v_e * pp - 2.0 * c * pq + v_e_out * qq) / v_b
         det_c = det_e - (v_e_out * pp - 2.0 * c * pq + v_e * qq) / v_b

@@ -12,6 +12,10 @@ sight.  Monitoring is performed simultaneously by a LIDAR on the satellite
 (looking down, range z) and one on the ground (looking up, range L - z);
 an undetected object must sit below both size bounds.
 
+The size bounds, beam widths and transmittances take a float (and give a
+float) or a NumPy array of ranges (and give an array), so a profile along z
+is one array evaluation through :func:`eve_efficiencies`.
+
 Default constants not fixed by the optical model itself (albedos, sky
 radiance, field of view, filter bandwidth, radar system temperature) are
 sourced, overridable engineering values; see the named factories at the
@@ -90,7 +94,6 @@ class LinkGeometry:
     total_range: float  # m, distance A -> B
     r_a: float          # m, satellite aperture radius
     r_b: float          # m, ground aperture radius
-    zenith_angle: float = 0.0  # rad, for elevation sweeps
 
     def __post_init__(self):
         if self.total_range <= 0.0:
@@ -125,70 +128,78 @@ class RadarParams:
         return BOLTZMANN * t_sys * self.bandwidth
 
 
+def _float_or_array(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def beam_width(z, beam: BeamParams):
     """Beam radius after propagating a distance z: W0 sqrt(1 + (z M^2 / z_R)^2)."""
     ratio = np.asarray(z, dtype=float) * beam.quality / beam.rayleigh_range
-    out = beam.waist * np.sqrt(1.0 + ratio * ratio)
-    return float(out) if np.ndim(z) == 0 else out
+    return _float_or_array(beam.waist * np.sqrt(1.0 + ratio * ratio))
 
 
 def aperture_transmittance(rho, width):
     """Power fraction of a Gaussian beam of radius ``width`` through a centred
     circular aperture of radius ``rho``: 1 - exp(-2 rho^2 / W^2)."""
     rho = np.asarray(rho, dtype=float)
-    out = -np.expm1(-2.0 * rho * rho / np.asarray(width, dtype=float) ** 2)
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(-np.expm1(-2.0 * rho * rho / np.asarray(width, dtype=float) ** 2))
 
 
-def focused_beam_width(z: float, r_e: float, geom: LinkGeometry, wavelength: float) -> float:
+def focused_beam_width(z, r_e, geom: LinkGeometry, wavelength: float):
     """Waist at B of a beam the eavesdropper (aperture radius r_e, at z)
-    focuses on B: W_E = lambda (L - z) / (pi r_e)."""
-    if not 0.0 <= z < geom.total_range:
+    focuses on B: W_E = lambda (L - z) / (pi r_e).  z and r_e are floats or
+    broadcastable arrays; every z must lie in [0, L) and every r_e be > 0."""
+    z = np.asarray(z, dtype=float)
+    r_e = np.asarray(r_e, dtype=float)
+    if not np.all((0.0 <= z) & (z < geom.total_range)):
         raise ValueError(f"z must lie in [0, total_range), got {z}")
-    if r_e <= 0.0:
+    if not np.all(r_e > 0.0):
         raise ValueError(f"r_e must be positive, got {r_e}")
-    return wavelength * (geom.total_range - z) / (math.pi * r_e)
+    return _float_or_array(wavelength * (geom.total_range - z) / (math.pi * r_e))
 
 
-def radar_cross_section_bound(distance: float, radar: RadarParams) -> float:
+def radar_cross_section_bound(distance, radar: RadarParams):
     """Largest radar cross-section sigma (m^2) that stays below the noise floor
-    at the given range: sigma = P_min (4 pi)^3 kappa d^4 / (P_T G^2 lambda^2)."""
-    if distance <= 0.0:
+    at the given range(s): sigma = P_min (4 pi)^3 kappa d^4 / (P_T G^2 lambda^2)."""
+    distance = np.asarray(distance, dtype=float)
+    if np.any(distance <= 0.0):
         raise ValueError("distance must be positive")
-    return (radar.noise_floor * (4.0 * math.pi) ** 3 * radar.loss_factor * distance ** 4
-            / (radar.transmit_power * radar.gain ** 2 * radar.wavelength ** 2))
+    return _float_or_array(
+        radar.noise_floor * (4.0 * math.pi) ** 3 * radar.loss_factor * distance ** 4
+        / (radar.transmit_power * radar.gain ** 2 * radar.wavelength ** 2))
 
 
-def radar_size_bound(distance: float, radar: RadarParams) -> float:
+def radar_size_bound(distance, radar: RadarParams):
     """Sphere-equivalent radius of the undetectable cross-section, sqrt(sigma/pi)."""
-    return math.sqrt(radar_cross_section_bound(distance, radar) / math.pi)
+    return _float_or_array(np.sqrt(radar_cross_section_bound(distance, radar) / math.pi))
 
 
-def lidar_size_bound(z: float, cfg: LidarConfig) -> float:
-    """Largest object radius (m) whose LIDAR return stays below the noise floor.
+def lidar_size_bound(z, cfg: LidarConfig):
+    """Largest object radius (m) whose LIDAR return stays below the noise floor,
+    at a float or an array of ranges z >= 0.
 
     From the Gaussian-beam LIDAR equation,
         r_E(z)^2 = -ln(1 - u) * (lambda z M^2 / (pi W0))^2,
         u = 2 P_min kappa z^2 / (alpha P_T W0^2).
-    Returns ``math.inf`` when u >= 1: past that range an object of any size
-    returns less than the noise floor (for the assumed reflectivity).
+    The bound is 0 at z = 0, and ``inf`` where u >= 1: past that range an
+    object of any size returns less than the noise floor (for the assumed
+    reflectivity).
     """
-    if z < 0.0:
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0.0):
         raise ValueError("z must be >= 0")
-    if z == 0.0:
-        return 0.0
     w0 = cfg.beam.waist
     u = 2.0 * cfg.noise_floor * cfg.loss_factor * z * z \
         / (cfg.reflectivity * cfg.transmit_power * w0 * w0)
-    if u >= 1.0:
-        return math.inf
     far_field = cfg.beam.wavelength * z * cfg.beam.quality / (math.pi * w0)
-    return math.sqrt(-math.log1p(-u)) * far_field
+    below = u < 1.0
+    r_e = np.sqrt(-np.log1p(-np.where(below, u, 0.0))) * far_field
+    return _float_or_array(np.where(below, r_e, np.inf))
 
 
-def reflectivity_threshold(z: float, cfg: LidarConfig) -> float:
+def reflectivity_threshold(z, cfg: LidarConfig):
     """Smallest target reflectivity alpha for which the size bound is finite
-    at range z: alpha_min = 2 P_min kappa z^2 / (P_T W0^2)."""
+    at range z (a float or an array): alpha_min = 2 P_min kappa z^2 / (P_T W0^2)."""
     w0 = cfg.beam.waist
     return 2.0 * cfg.noise_floor * cfg.loss_factor * z * z / (cfg.transmit_power * w0 * w0)
 
@@ -209,15 +220,6 @@ def sky_background_power(r_b: float = 0.5, *, fov: float = FIELD_OF_VIEW,
     return SKY_SPECTRAL_RADIANCE * fov * math.pi * r_b ** 2 * bandwidth_nm
 
 
-def background_power(side: str, **overrides) -> float:
-    """Dispatch on which end of the link the monitor sits: 'satellite' | 'ground'."""
-    if side == "satellite":
-        return moonlight_background_power(**overrides)
-    if side == "ground":
-        return sky_background_power(**overrides)
-    raise ValueError(f"side must be 'satellite' or 'ground', got {side!r}")
-
-
 @dataclass(frozen=True)
 class EveProfile:
     """Size and efficiency bounds along the line of sight."""
@@ -236,41 +238,50 @@ class EveProfile:
         return float(np.max(self.eta_eb))
 
 
+def dual_lidar_size_bound(z, geom: LinkGeometry, cfg_sat: LidarConfig,
+                          cfg_ground: LidarConfig):
+    """Undetected radius under simultaneous dual monitoring: the *smaller* of
+    the satellite bound (range z) and the ground bound (range L - z)."""
+    return np.minimum(lidar_size_bound(z, cfg_sat),
+                      lidar_size_bound(geom.total_range - z, cfg_ground))
+
+
+def eve_efficiencies(z, size_bound, geom: LinkGeometry, beam: BeamParams):
+    """Arrays (r_e, eta_ae, eta_eb) along ``z`` for any monitor, whose bound
+    ``size_bound`` maps an array of interior positions 0 < z < L to r_e.
+
+    An object touching either terminal is always seen (r_e = 0, and both
+    efficiencies are 0 wherever r_e = 0); an unbounded one (r_e = inf) has
+    both efficiencies 1.  A finite r_e collects the communication beam
+    through a disc of radius r_e at z and re-injects through the beam it
+    focuses on B's aperture (:func:`focused_beam_width`).
+    """
+    z = np.asarray(z, dtype=float)
+    r_e = np.zeros(z.shape)
+    inner = (z > 0.0) & (z < geom.total_range)
+    r_e[inner] = size_bound(z[inner])
+    eta_ae = np.where(np.isinf(r_e), 1.0, 0.0)
+    eta_eb = eta_ae.copy()
+    finite = np.isfinite(r_e) & (r_e > 0.0)
+    z_f, r_f = z[finite], r_e[finite]
+    eta_ae[finite] = aperture_transmittance(r_f, beam_width(z_f, beam))
+    eta_eb[finite] = aperture_transmittance(
+        geom.r_b, focused_beam_width(z_f, r_f, geom, beam.wavelength))
+    return r_e, eta_ae, eta_eb
+
+
 def eve_efficiency_profile(geom: LinkGeometry, cfg_sat: LidarConfig,
                            cfg_ground: LidarConfig, n_points: int,
                            comm_beam: "BeamParams | None" = None) -> EveProfile:
-    """Bound the eavesdropper along the path under simultaneous dual monitoring.
-
-    At each z the undetected radius is the *smaller* of the satellite bound
-    (range z) and the ground bound (range L - z).  Collection efficiency uses
-    the communication beam's width at z; re-injection assumes the object
-    focuses an optimal beam on B's aperture.  At the endpoints the bound is
-    exactly zero (an object touching either terminal is always seen), which
-    forces both efficiencies to zero there.
-    """
+    """Bound the eavesdropper at ``n_points`` evenly spaced z under
+    simultaneous dual monitoring (:func:`dual_lidar_size_bound`), with the
+    efficiencies of :func:`eve_efficiencies` for the communication beam."""
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     beam = comm_beam if comm_beam is not None else cfg_sat.beam
     z = np.linspace(0.0, geom.total_range, n_points)
-    r_e = np.empty(n_points)
-    for i, zi in enumerate(z):
-        if zi <= 0.0 or zi >= geom.total_range:
-            r_e[i] = 0.0
-            continue
-        r_e[i] = min(lidar_size_bound(zi, cfg_sat),
-                     lidar_size_bound(geom.total_range - zi, cfg_ground))
-    eta_ae = np.zeros(n_points)
-    eta_eb = np.zeros(n_points)
-    widths = beam_width(z, beam)
-    finite = np.isfinite(r_e) & (r_e > 0.0)
-    eta_ae[finite] = aperture_transmittance(r_e[finite], widths[finite])
-    eta_ae[np.isinf(r_e)] = 1.0
-    for i in range(n_points):
-        if r_e[i] > 0.0 and np.isfinite(r_e[i]):
-            w_e = focused_beam_width(float(z[i]), float(r_e[i]), geom, beam.wavelength)
-            eta_eb[i] = aperture_transmittance(geom.r_b, w_e)
-        elif np.isinf(r_e[i]):
-            eta_eb[i] = 1.0
+    r_e, eta_ae, eta_eb = eve_efficiencies(
+        z, lambda zi: dual_lidar_size_bound(zi, geom, cfg_sat, cfg_ground), geom, beam)
     return EveProfile(z=z, r_e=r_e, eta_ae=eta_ae, eta_eb=eta_eb)
 
 
@@ -318,21 +329,18 @@ def elevation_sweep(altitude: float, cfg_sat: LidarConfig, cfg_ground: LidarConf
     """
     theta = np.asarray(theta_grid, dtype=float)
     beam = comm_beam if comm_beam is not None else cfg_sat.beam
-    n = theta.size
-    out = {k: np.empty(n) for k in
-           ("max_eta_ae", "max_eta_eb", "eta_ab_diffraction", "eta_ab_effective")}
-    for i, th in enumerate(theta):
-        d = slant_range(float(th), altitude)
-        geom = LinkGeometry(total_range=d, r_a=r_a, r_b=r_b, zenith_angle=float(th))
-        prof = eve_efficiency_profile(geom, cfg_sat, cfg_ground, profile_points,
-                                      comm_beam=beam)
-        out["max_eta_ae"][i] = prof.max_eta_ae
-        out["max_eta_eb"][i] = prof.max_eta_eb
-        diff = aperture_transmittance(r_b, beam_width(d, beam))
-        out["eta_ab_diffraction"][i] = diff
-        out["eta_ab_effective"][i] = (diff * atmospheric_extinction(float(th), extinction_coefficient)
-                                      * detection_efficiency * optics_transmittance)
-    return ElevationSweep(theta=theta, **out)
+    d = np.array([slant_range(th, altitude) for th in theta.tolist()])
+    profiles = [eve_efficiency_profile(LinkGeometry(total_range=di, r_a=r_a, r_b=r_b),
+                                       cfg_sat, cfg_ground, profile_points, comm_beam=beam)
+                for di in d.tolist()]
+    extinction = np.array([atmospheric_extinction(th, extinction_coefficient)
+                           for th in theta.tolist()])
+    diff = aperture_transmittance(r_b, beam_width(d, beam))
+    return ElevationSweep(
+        theta=theta, eta_ab_diffraction=diff,
+        max_eta_ae=np.array([prof.max_eta_ae for prof in profiles]),
+        max_eta_eb=np.array([prof.max_eta_eb for prof in profiles]),
+        eta_ab_effective=diff * extinction * detection_efficiency * optics_transmittance)
 
 
 # ---------------------------------------------------------------------------

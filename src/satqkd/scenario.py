@@ -10,7 +10,7 @@ A scenario file is INI-style text with three sections::
     variable = eta_ae   # the x axis; must be a parameter of the mode
     start = 1e-4
     stop = 1.0
-    points = 61         # >= 2
+    points = 61         # 2 .. MAX_SWEEP_POINTS
     scale = log         # linear (default) | log
 
     [params]            # everything the sweep holds fixed
@@ -26,7 +26,7 @@ given here or swept):
     evaluates that fixed bypass hypothesis instead of the worst case, in
     which case both must be resolvable; otherwise the rate is minimised
     over the bypass and ``grid_points`` [101] / ``refine`` [true] tune the
-    search.
+    search (grid_points <= MAX_GRID_POINTS).
 ``cv-dr-m2``
     eta_ae (req), t_eq (req), xi (req), eta_d [1], nu_el [0], v [engine
     default], beta [1].
@@ -45,8 +45,12 @@ given here or swept):
     radar_aperture_efficiency [0.6], radar_antenna_temp [60].
 ``lidar-elevation``  (sweep variable: zenith_deg, in [0, 90))
     altitude [5e5] plus the dual-lidar keys above, and profile_points
-    [201], extinction_coefficient [0.7], detection_efficiency [0.5],
-    optics_transmittance [0.8].
+    [201] (<= MAX_PROFILE_POINTS), extinction_coefficient [0.7],
+    detection_efficiency [0.5], optics_transmittance [0.8].
+
+:func:`run_scenario` cuts the sweep into contiguous slices, one per worker;
+each mode's evaluator maps a slice of sweep values to its rows (as arrays
+for the LIDAR modes, point by point for CV and DV).
 
 Tables are emitted as CSV or TSV: a ``#``-prefixed metadata block (sorted
 keys), a header row, then one row per sweep point with floats in
@@ -64,7 +68,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser, Error as _ConfigParserError
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -85,11 +89,9 @@ from .lidar import (
     LidarConfig,
     LinkGeometry,
     RadarParams,
-    aperture_transmittance,
-    beam_width,
+    dual_lidar_size_bound,
     elevation_sweep,
-    focused_beam_width,
-    lidar_size_bound,
+    eve_efficiencies,
     moonlight_background_power,
     radar_size_bound,
     reflectivity_threshold,
@@ -102,6 +104,17 @@ MODES = ("cv-rr", "cv-dr-m1", "cv-dr-m2", "dv-sps", "dv-wcp",
 #: metadata keys that legitimately differ between runs of the same file;
 #: emit() skips them so output bytes depend on the scenario alone.
 VOLATILE_METADATA = ("wall_time_s", "threads")
+
+# Size caps, checked at load time: a stray digit is exit code 1, not a run
+# that takes hours or exhausts memory.
+#: One table row and one engine evaluation per point (a CV worst-case row
+#: takes ~0.05 s); 20x the largest sweep in use (5000).
+MAX_SWEEP_POINTS = 100_000
+#: lidar-elevation rows evaluate arrays this long; 500x the default 201.
+MAX_PROFILE_POINTS = 100_000
+#: The worst-case search holds a few dozen arrays of grid_points^2 bypass
+#: hypotheses, ~2 MB each at 501; 5x the default 101.
+MAX_GRID_POINTS = 501
 
 
 class ScenarioError(ValueError):
@@ -210,6 +223,13 @@ def _resolve_keys(keyspec: dict, raw: dict, sweep_var: str, mode: str) -> dict:
     return out
 
 
+def _check_count(value: int, cap: int, where: str) -> None:
+    if value < 2:
+        raise ScenarioError(f"{where} must be >= 2, got {value}")
+    if value > cap:
+        raise ScenarioError(f"{where} must be <= {cap}, got {value}")
+
+
 def _check_sweepable(sweep_var: str, allowed: "tuple[str, ...]", mode: str) -> None:
     if sweep_var not in allowed:
         raise ScenarioError(
@@ -257,17 +277,15 @@ def _resolve_cv(mode: str, sweep: SweepSpec, raw: dict) -> dict:
                          "v_s")
         _check_sweepable(sweep.variable, sweepable, mode)
         params = _resolve_keys(keyspec, raw, sweep.variable, mode)
-        if not fixed_point and params["grid_points"] < 2:
-            raise ScenarioError(
-                f"[params] grid_points must be >= 2, got {params['grid_points']}")
+        if not fixed_point:
+            _check_count(params["grid_points"], MAX_GRID_POINTS, "[params] grid_points")
     if params.get("v") is None:
         params["v"] = _DEFAULT_V[engine_mode]
     return params
 
 
 def _probe_cv(mode: str, p: dict) -> None:
-    ChannelObservation(t_eq=p["t_eq"], xi=p["xi"], eta_d=p["eta_d"],
-                       nu_el=p["nu_el"])
+    _cv_obs(p)
     CvScenario(eta_ae=p["eta_ae"], eta_s=p.get("eta_s", 0.0),
                eta_t=p.get("eta_t", 1.0), v=p["v"], beta=p["beta"],
                v_s=p.get("v_s", 1.0))
@@ -298,10 +316,7 @@ def _resolve_dv(mode: str, sweep: SweepSpec, raw: dict) -> dict:
 
 
 def _probe_dv(mode: str, p: dict) -> None:
-    DvParams(source="wcp" if mode == "dv-wcp" else "sps",
-             eta_ch=p["eta_ch"], eta_d=p["eta_d"], p_dc=p["p_dc"],
-             e_d=p["e_d"], f=p["f"], q=p["q"], eta_ae=p["eta_ae"],
-             mu=p.get("mu", 1.0))
+    _dv_params(p, "wcp" if mode == "dv-wcp" else "sps", mu=p.get("mu", 1.0))
 
 
 _BEAM_KEYS = {
@@ -381,9 +396,7 @@ def _resolve_lidar_elevation(mode: str, sweep: SweepSpec, raw: dict) -> dict:
     _fill_noise_floors(params)
     if not (0.0 <= sweep.start < 90.0 and 0.0 <= sweep.stop < 90.0):
         raise ScenarioError("[sweep] zenith_deg must stay within [0, 90)")
-    if params["profile_points"] < 2:
-        raise ScenarioError(
-            f"[params] profile_points must be >= 2, got {params['profile_points']}")
+    _check_count(params["profile_points"], MAX_PROFILE_POINTS, "[params] profile_points")
     return params
 
 
@@ -399,16 +412,13 @@ def _probe_lidar(mode: str, p: dict) -> None:
         raise ScenarioError(f"[params] quality must be >= 1, got {p['quality']}")
     if mode == "lidar-profile":
         _positive(p, "total_range")
-        extra = (("power_sat", "power_ground", "reflectivity", "loss_factor",
-                  "noise_floor_sat", "noise_floor_ground")
-                 if p["bound_source"] == "dual-lidar" else
+        extra = (tuple(_DUAL_LIDAR_KEYS) if p["bound_source"] == "dual-lidar" else
                  ("radar_power", "radar_antenna_radius", "radar_wavelength",
                   "radar_bandwidth", "radar_aperture_efficiency",
                   "radar_antenna_temp"))
     else:
         _positive(p, "altitude")
-        extra = ("power_sat", "power_ground", "reflectivity", "loss_factor",
-                 "noise_floor_sat", "noise_floor_ground")
+        extra = tuple(_DUAL_LIDAR_KEYS)
         for key in ("detection_efficiency", "optics_transmittance"):
             if not 0.0 < p[key] <= 1.0:
                 raise ScenarioError(f"[params] {key} must lie in (0, 1], got {p[key]}")
@@ -490,8 +500,7 @@ def load_scenario(path: str) -> ScenarioSpec:
                       stop=_float(sw["stop"], "[sweep] stop"),
                       points=_int(sw["points"], "[sweep] points"),
                       scale=_str(sw.get("scale", "linear"), "[sweep] scale"))
-    if sweep.points < 2:
-        raise ScenarioError(f"[sweep] points must be >= 2, got {sweep.points}")
+    _check_count(sweep.points, MAX_SWEEP_POINTS, "[sweep] points")
     if sweep.scale not in ("linear", "log"):
         raise ScenarioError(f"[sweep] scale must be linear or log, got {sweep.scale!r}")
     if sweep.scale == "log" and (sweep.start <= 0.0 or sweep.stop <= 0.0):
@@ -514,8 +523,15 @@ def load_scenario(path: str) -> ScenarioSpec:
 
 
 # ---------------------------------------------------------------------------
-# Evaluators: columns + one-row functions, closed over the fixed parameters
+# Evaluators: columns + slice functions, closed over the fixed parameters
 # ---------------------------------------------------------------------------
+
+def _pointwise(spec: ScenarioSpec, row):
+    """Slice function that evaluates ``row`` at each sweep value in turn."""
+    def rows(values: "list[float]") -> "list[tuple]":
+        return [row({**spec.params, spec.sweep.variable: x}) for x in values]
+    return rows
+
 
 def _clamp(rate: float) -> float:
     return rate if rate > 0.0 else 0.0
@@ -546,7 +562,7 @@ def _evaluator_cv_worst(spec: ScenarioSpec):
         return (res.rate, _clamp(res.rate), res.eta_s, res.eta_t,
                 nb, _clamp(nb), 1, 1)
 
-    return columns, row
+    return columns, _pointwise(spec, row)
 
 
 def _evaluator_cv_fixed(spec: ScenarioSpec):
@@ -565,7 +581,7 @@ def _evaluator_cv_fixed(spec: ScenarioSpec):
         rate = scenario.beta * mutual_info(obs, scenario.v) - chi
         return (rate, _clamp(rate), chi, 1)
 
-    return columns, row
+    return columns, _pointwise(spec, row)
 
 
 def _evaluator_cv_dr_m2(spec: ScenarioSpec):
@@ -576,7 +592,7 @@ def _evaluator_cv_dr_m2(spec: ScenarioSpec):
         rate = p["beta"] * mutual_info(_cv_obs(p), p["v"]) - chi
         return (chi, rate, _clamp(rate))
 
-    return columns, row
+    return columns, _pointwise(spec, row)
 
 
 def _dv_params(p: dict, source: str, **extra) -> DvParams:
@@ -585,62 +601,52 @@ def _dv_params(p: dict, source: str, **extra) -> DvParams:
                     eta_ae=p["eta_ae"], **extra)
 
 
-def _evaluator_dv_sps(spec: ScenarioSpec):
-    columns = ("rate_sps", "rate_sps_pos")
-
-    def row(p: dict) -> tuple:
-        rate = rate_at(_dv_params(p, "sps"))
-        return (rate, _clamp(rate))
-
-    return columns, row
-
-
-def _evaluator_dv_wcp(spec: ScenarioSpec):
-    # mu fixed (or swept) -> evaluate it as given; mu absent -> optimise per
-    # point and report the optimum alongside the single-photon comparison.
-    optimise = "mu" not in spec.params and spec.sweep.variable != "mu"
-    if optimise:
-        columns = ("rate_wcp", "rate_wcp_pos", "mu_opt",
-                   "rate_sps", "rate_sps_pos")
-    else:
-        columns = ("rate_wcp", "rate_wcp_pos", "rate_sps", "rate_sps_pos")
+def _evaluator_dv(spec: ScenarioSpec):
+    # dv-wcp evaluates mu as given when it is fixed (or swept), and otherwise
+    # optimises it per point and reports the optimum.  Every DV table ends
+    # with the single-photon rate.
+    wcp = spec.mode == "dv-wcp"
+    optimise = wcp and "mu" not in spec.params and spec.sweep.variable != "mu"
+    columns = (("rate_wcp", "rate_wcp_pos") if wcp else ()) \
+        + (("mu_opt",) if optimise else ()) + ("rate_sps", "rate_sps_pos")
 
     def row(p: dict) -> tuple:
         if optimise:
             best = optimize_mu(_dv_params(p, "wcp"))
-            wcp_cells = (best.rate, _clamp(best.rate), best.mu)
-        else:
+            cells = (best.rate, _clamp(best.rate), best.mu)
+        elif wcp:
             rate = rate_at(_dv_params(p, "wcp", mu=p["mu"]))
-            wcp_cells = (rate, _clamp(rate))
+            cells = (rate, _clamp(rate))
+        else:
+            cells = ()
         sps = rate_at(_dv_params(p, "sps"))
-        return wcp_cells + (sps, _clamp(sps))
+        return cells + (sps, _clamp(sps))
 
-    return columns, row
+    return columns, _pointwise(spec, row)
+
+
+def _dual_lidars(p: dict, beam: BeamParams) -> "tuple[LidarConfig, LidarConfig]":
+    """The satellite LIDAR, which shares the communication beam, and the
+    ground LIDAR, whose beam has the ground aperture as its waist."""
+    shared = dict(loss_factor=p["loss_factor"], reflectivity=p["reflectivity"])
+    return (LidarConfig(transmit_power=p["power_sat"], noise_floor=p["noise_floor_sat"],
+                        beam=beam, **shared),
+            LidarConfig(transmit_power=p["power_ground"],
+                        noise_floor=p["noise_floor_ground"],
+                        beam=replace(beam, waist=p["r_b"]), **shared))
 
 
 def _evaluator_lidar_profile(spec: ScenarioSpec):
     p = spec.params
     total = p["total_range"]
-    beam = BeamParams(waist=p["waist"], wavelength=p["wavelength"],
-                      quality=p["quality"])
+    beam = BeamParams(**{key: p[key] for key in _BEAM_KEYS})
     geom = LinkGeometry(total_range=total, r_a=p["r_a"], r_b=p["r_b"])
     dual = p["bound_source"] == "dual-lidar"
     if dual:
-        cfg_sat = LidarConfig(transmit_power=p["power_sat"],
-                              loss_factor=p["loss_factor"],
-                              reflectivity=p["reflectivity"],
-                              noise_floor=p["noise_floor_sat"], beam=beam)
-        cfg_ground = LidarConfig(transmit_power=p["power_ground"],
-                                 loss_factor=p["loss_factor"],
-                                 reflectivity=p["reflectivity"],
-                                 noise_floor=p["noise_floor_ground"],
-                                 beam=BeamParams(waist=p["r_b"],
-                                                 wavelength=p["wavelength"],
-                                                 quality=p["quality"]))
+        cfg_sat, cfg_ground = _dual_lidars(p, beam)
 
-        def size_bound(z: float) -> float:
-            return min(lidar_size_bound(z, cfg_sat),
-                       lidar_size_bound(total - z, cfg_ground))
+        def size_bound(z):
+            return dual_lidar_size_bound(z, geom, cfg_sat, cfg_ground)
 
         columns = ("r_e", "eta_ae", "eta_eb", "alpha_min_sat", "alpha_min_ground")
     else:
@@ -654,65 +660,40 @@ def _evaluator_lidar_profile(spec: ScenarioSpec):
             aperture_efficiency=p["radar_aperture_efficiency"],
             antenna_temperature=p["radar_antenna_temp"])
 
-        def size_bound(z: float) -> float:
+        def size_bound(z):
             return radar_size_bound(total - z, radar)
 
         columns = ("r_e", "eta_ae", "eta_eb")
 
-    def row(per_point: dict) -> tuple:
-        z = per_point["z"]
-        # An object touching either terminal is always seen, whatever the
-        # monitor: the bound vanishes at the endpoints.
-        r_e = 0.0 if (z <= 0.0 or z >= total) else size_bound(z)
-        if r_e == 0.0:
-            eta_ae = eta_eb = 0.0
-        elif math.isinf(r_e):
-            eta_ae = eta_eb = 1.0
-        else:
-            eta_ae = float(aperture_transmittance(r_e, beam_width(z, beam)))
-            w_at_b = focused_beam_width(z, r_e, geom, beam.wavelength)
-            eta_eb = float(aperture_transmittance(geom.r_b, w_at_b))
-        cells = (r_e, eta_ae, eta_eb)
+    def rows(values: "list[float]") -> "list[tuple]":
+        z = np.array(values, dtype=float)
+        cells = eve_efficiencies(z, size_bound, geom, beam)
         if dual:
             cells += (reflectivity_threshold(z, cfg_sat),
                       reflectivity_threshold(total - z, cfg_ground))
-        return cells
+        return list(zip(*(c.tolist() for c in cells)))
 
-    return columns, row
+    return columns, rows
 
 
 def _evaluator_lidar_elevation(spec: ScenarioSpec):
     p = spec.params
-    beam = BeamParams(waist=p["waist"], wavelength=p["wavelength"],
-                      quality=p["quality"])
-    cfg_sat = LidarConfig(transmit_power=p["power_sat"],
-                          loss_factor=p["loss_factor"],
-                          reflectivity=p["reflectivity"],
-                          noise_floor=p["noise_floor_sat"], beam=beam)
-    cfg_ground = LidarConfig(transmit_power=p["power_ground"],
-                             loss_factor=p["loss_factor"],
-                             reflectivity=p["reflectivity"],
-                             noise_floor=p["noise_floor_ground"],
-                             beam=BeamParams(waist=p["r_b"],
-                                             wavelength=p["wavelength"],
-                                             quality=p["quality"]))
+    beam = BeamParams(**{key: p[key] for key in _BEAM_KEYS})
+    cfg_sat, cfg_ground = _dual_lidars(p, beam)
     columns = ("max_eta_ae", "max_eta_eb", "eta_ab_diffraction",
                "eta_ab_effective")
 
-    def row(per_point: dict) -> tuple:
-        theta = math.radians(per_point["zenith_deg"])
+    def rows(values: "list[float]") -> "list[tuple]":
         out = elevation_sweep(
-            p["altitude"], cfg_sat, cfg_ground, [theta],
+            p["altitude"], cfg_sat, cfg_ground, np.radians(values),
             r_a=p["r_a"], r_b=p["r_b"], comm_beam=beam,
             profile_points=p["profile_points"],
             extinction_coefficient=p["extinction_coefficient"],
             detection_efficiency=p["detection_efficiency"],
             optics_transmittance=p["optics_transmittance"])
-        return (float(out.max_eta_ae[0]), float(out.max_eta_eb[0]),
-                float(out.eta_ab_diffraction[0]),
-                float(out.eta_ab_effective[0]))
+        return list(zip(*(getattr(out, name).tolist() for name in columns)))
 
-    return columns, row
+    return columns, rows
 
 
 def _build_evaluator(spec: ScenarioSpec):
@@ -722,10 +703,8 @@ def _build_evaluator(spec: ScenarioSpec):
         return _evaluator_cv_worst(spec)
     if spec.mode == "cv-dr-m2":
         return _evaluator_cv_dr_m2(spec)
-    if spec.mode == "dv-sps":
-        return _evaluator_dv_sps(spec)
-    if spec.mode == "dv-wcp":
-        return _evaluator_dv_wcp(spec)
+    if spec.mode in ("dv-sps", "dv-wcp"):
+        return _evaluator_dv(spec)
     if spec.mode == "lidar-profile":
         return _evaluator_lidar_profile(spec)
     return _evaluator_lidar_elevation(spec)
@@ -738,31 +717,30 @@ def _build_evaluator(spec: ScenarioSpec):
 def run_scenario(path: str, *, threads: int = 1) -> ResultTable:
     """Evaluate a scenario file into a :class:`ResultTable`.
 
-    The sweep fans out to ``threads`` workers; result order (and, because
-    :func:`emit` drops volatile metadata, emitted bytes) is independent of
-    the worker count.  Raises :class:`InfeasibleAttackError` when a CV sweep
-    is infeasible at every point — a sign the restriction hypothesis cannot
-    reproduce the observed channel at all.
+    The sweep is cut into at most ``threads`` contiguous slices, one per
+    worker, and the rows are joined in sweep order, so the table (and,
+    because :func:`emit` drops volatile metadata, the emitted bytes) does
+    not depend on the worker count.  Raises :class:`InfeasibleAttackError`
+    when a CV sweep is infeasible at every point — a sign the restriction
+    hypothesis cannot reproduce the observed channel at all.
     """
     spec = load_scenario(path)
     if threads < 1:
         raise ScenarioError(f"threads must be >= 1, got {threads}")
-    tail_columns, row_fn = _build_evaluator(spec)
-    grid = [float(x) for x in spec.sweep.grid()]
-
-    def point(value: float) -> tuple:
-        return row_fn({**spec.params, spec.sweep.variable: value})
+    tail_columns, rows_fn = _build_evaluator(spec)
+    grid = spec.sweep.grid()
+    slices = [part.tolist() for part in np.array_split(grid, min(threads, grid.size))]
 
     start = time.perf_counter()
-    if threads == 1:
-        tails = [point(x) for x in grid]
+    if len(slices) == 1:
+        tails = rows_fn(slices[0])
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tails = list(pool.map(point, grid))
+        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
+            tails = [row for part in pool.map(rows_fn, slices) for row in part]
     wall = time.perf_counter() - start
 
     columns = (spec.sweep.variable,) + tuple(tail_columns)
-    rows = [(x,) + tail for x, tail in zip(grid, tails)]
+    rows = [(x,) + tail for x, tail in zip(grid.tolist(), tails)]
 
     if "feasible" in columns:
         sentinel = columns.index("feasible")

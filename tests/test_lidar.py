@@ -13,9 +13,9 @@ from satqkd.lidar import (
     RadarParams,
     aperture_transmittance,
     atmospheric_extinction,
-    background_power,
     beam_width,
     elevation_sweep,
+    eve_efficiencies,
     eve_efficiency_profile,
     focused_beam_width,
     lidar_size_bound,
@@ -191,6 +191,59 @@ def test_lidar_config_validation():
 
 
 # ---------------------------------------------------------------------------
+# array forms: element by element the scalar calls
+# ---------------------------------------------------------------------------
+
+def test_lidar_size_bound_on_arrays_equals_the_scalar_calls():
+    cfg = nominal_satellite_lidar()
+    # z = 0, the finite region, and u >= 1 (inf) beyond ~1040 km
+    z = np.concatenate(([0.0], np.linspace(1e3, 2e6, 40)))
+    got = lidar_size_bound(z, cfg)
+    want = [lidar_size_bound(float(x), cfg) for x in z]
+    assert all(type(w) is float for w in want)
+    np.testing.assert_array_equal(got, want)
+    assert got[0] == 0.0 and np.isinf(got[-1]) and np.isfinite(got[1])
+    with pytest.raises(ValueError):
+        lidar_size_bound(np.array([1e3, -1.0]), cfg)
+
+
+def test_radar_size_bound_on_arrays_equals_the_scalar_calls():
+    radar = nominal_radar()
+    d = np.linspace(1.0, 1e6, 25)
+    got = radar_size_bound(d, radar)
+    want = [radar_size_bound(float(x), radar) for x in d]
+    assert all(type(w) is float for w in want)
+    np.testing.assert_array_equal(got, want)
+    with pytest.raises(ValueError):
+        radar_size_bound(np.array([1e3, 0.0]), radar)
+
+
+def test_focused_beam_width_on_arrays_equals_the_scalar_calls():
+    geom = nominal_geometry()
+    z = np.linspace(0.0, geom.total_range, 30, endpoint=False)  # from z = 0
+    r_e = np.linspace(0.01, 1.0, 30)
+    got = focused_beam_width(z, r_e, geom, 800e-9)
+    want = [focused_beam_width(float(a), float(b), geom, 800e-9) for a, b in zip(z, r_e)]
+    assert all(type(w) is float for w in want)
+    np.testing.assert_array_equal(got, want)
+    with pytest.raises(ValueError):
+        focused_beam_width(np.array([0.0, geom.total_range]), 0.1, geom, 800e-9)
+    with pytest.raises(ValueError):
+        focused_beam_width(z[:2], np.array([0.1, 0.0]), geom, 800e-9)
+
+
+def test_efficiency_convention_at_the_ends_and_for_unbounded_objects():
+    geom = nominal_geometry()
+    z = np.array([0.0, 1e5, 2e5, geom.total_range])
+    r_e, eta_ae, eta_eb = eve_efficiencies(
+        z, lambda zi: np.where(zi < 1.5e5, 0.2, np.inf), geom, nominal_comm_beam())
+    np.testing.assert_array_equal(r_e, [0.0, 0.2, np.inf, 0.0])
+    assert eta_ae[0] == eta_eb[0] == eta_ae[3] == eta_eb[3] == 0.0
+    assert eta_ae[2] == eta_eb[2] == 1.0
+    assert 0.0 < eta_ae[1] < 1.0 and 0.0 < eta_eb[1] < 1.0
+
+
+# ---------------------------------------------------------------------------
 # background noise floors
 # ---------------------------------------------------------------------------
 
@@ -210,13 +263,6 @@ def test_background_nominal_floors_are_sub_picowatt():
     # Both ends sit far below a picowatt: photon counting territory.
     assert moonlight_background_power(0.15) == pytest.approx(4.1367369347e-15, rel=1e-9)
     assert sky_background_power(0.5) == pytest.approx(1.6689710972e-13, rel=1e-9)
-
-
-def test_background_dispatch():
-    assert background_power("satellite") == moonlight_background_power()
-    assert background_power("ground") == sky_background_power()
-    with pytest.raises(ValueError):
-        background_power("airborne")
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +285,29 @@ def test_profile_takes_the_smaller_of_the_two_bounds():
         want = min(lidar_size_bound(z, sat),
                    lidar_size_bound(geom.total_range - z, gnd))
         assert prof.r_e[i] == pytest.approx(want, rel=1e-12)
+
+
+def test_profile_equals_the_pointwise_reference():
+    # Scalar calls point by point, with the terminal and unbounded-object
+    # convention spelled out.  At 50 mW both monitors lose an object of any
+    # size mid-path (u >= 1 for z ~ 230-380 km), so every branch is taken.
+    geom, beam = nominal_geometry(), nominal_comm_beam()
+    sat, gnd = nominal_satellite_lidar(0.05), nominal_ground_lidar(0.05)
+    prof = eve_efficiency_profile(geom, sat, gnd, 101)
+    for z, r_e, eta_ae, eta_eb in zip(prof.z.tolist(), prof.r_e.tolist(),
+                                      prof.eta_ae.tolist(), prof.eta_eb.tolist()):
+        if z <= 0.0 or z >= geom.total_range:
+            want = (0.0, 0.0, 0.0)
+        else:
+            r = min(lidar_size_bound(z, sat), lidar_size_bound(geom.total_range - z, gnd))
+            if math.isinf(r):
+                want = (r, 1.0, 1.0)
+            else:
+                w_e = focused_beam_width(z, r, geom, beam.wavelength)
+                want = (r, aperture_transmittance(r, beam_width(z, beam)),
+                        aperture_transmittance(geom.r_b, w_e))
+        assert (r_e, eta_ae, eta_eb) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert np.isinf(prof.r_e).any() and np.isfinite(prof.r_e[1:-1]).any()
 
 
 def test_profile_maximum_is_interior():

@@ -18,10 +18,15 @@ from satqkd.lidar import (
     LidarConfig,
     LinkGeometry,
     RadarParams,
+    elevation_sweep,
+    eve_efficiencies,
     eve_efficiency_profile,
+    nominal_comm_beam,
     nominal_geometry,
     nominal_ground_lidar,
+    nominal_radar,
     nominal_satellite_lidar,
+    radar_size_bound,
 )
 from satqkd.scenario import (
     ResultTable,
@@ -112,6 +117,16 @@ INF_XI = ("[scenario]\nmode = cv-rr\n[sweep]\nvariable = eta_ae\nstart = 0.1\n"
 INF_F = ("[scenario]\nmode = dv-sps\n[sweep]\nvariable = eta_ae\nstart = 0.1\n"
          "stop = 0.5\npoints = 3\n[params]\neta_ch = 1e-3\neta_d = 0.9\n"
          "p_dc = 1e-7\ne_d = 0.01\nf = inf\nq = 1\n")
+# Over the size caps.  These are only ever loaded: running them would take
+# hours or exhaust memory.
+HUGE_SWEEP = ("[scenario]\nmode = cv-dr-m2\n[sweep]\nvariable = eta_ae\nstart = 0.1\n"
+              "stop = 0.5\npoints = 1000000000\n[params]\nt_eq = 1e-3\nxi = 0.1\n")
+HUGE_PROFILE = ("[scenario]\nmode = lidar-elevation\n[sweep]\nvariable = zenith_deg\n"
+                "start = 0\nstop = 60\npoints = 3\n[params]\n"
+                "profile_points = 1000000000\n")
+HUGE_GRID = ("[scenario]\nmode = cv-rr\n[sweep]\nvariable = eta_ae\nstart = 0.1\n"
+             "stop = 0.5\npoints = 2\n[params]\nt_eq = 1e-3\nxi = 0.1\n"
+             "grid_points = 1000000\n")
 
 
 @pytest.mark.parametrize("text, match", [
@@ -177,6 +192,9 @@ INF_F = ("[scenario]\nmode = dv-sps\n[sweep]\nvariable = eta_ae\nstart = 0.1\n"
     ("[scenario]\nmode = lidar-elevation\n[sweep]\nvariable = zenith_deg\n"
      "start = 0\nstop = 60\npoints = 3\n[params]\nprofile_points = 1\n",
      "profile_points must be >= 2"),
+    (HUGE_SWEEP, r"points must be <= 100000\b"),
+    (HUGE_PROFILE, r"profile_points must be <= 100000\b"),
+    (HUGE_GRID, r"grid_points must be <= 501\b"),
 ])
 def test_bad_scenarios_are_rejected_with_a_pointer(tmp_path, text, match):
     with pytest.raises(ScenarioError, match=match):
@@ -288,7 +306,6 @@ FIELD_ROUTES = [
     (LinkGeometry, "total_range", LIDAR_BASE, "total_range = 6e5"),
     (LinkGeometry, "r_a", LIDAR_BASE, "r_a = 0.2"),
     (LinkGeometry, "r_b", LIDAR_BASE, "r_b = 0.6"),
-    (LinkGeometry, "zenith_angle", ELEV_BASE, None),  # the swept variable
     (RadarParams, "transmit_power", RADAR_BASE, "radar_power = 2e5"),
     (RadarParams, "antenna_radius", RADAR_BASE, "radar_antenna_radius = 3.0"),
     (RadarParams, "wavelength", RADAR_BASE, "radar_wavelength = 0.03"),
@@ -481,6 +498,30 @@ def test_radar_bound_columns_and_endpoint_convention(tmp_path):
     assert mid[1] == pytest.approx(1.1031896147, rel=1e-8)
 
 
+def test_radar_table_equals_the_kernel_on_its_grid(tmp_path):
+    table = run_scenario(write(tmp_path, RADAR_BASE.replace("points = 2", "points = 23")))
+    z = np.array([row[0] for row in table.rows])
+    geom, radar = nominal_geometry(), nominal_radar()
+    want = eve_efficiencies(z, lambda zi: radar_size_bound(geom.total_range - zi, radar),
+                            geom, nominal_comm_beam())
+    got = np.array([row[1:] for row in table.rows], dtype=float)
+    for k in range(3):
+        np.testing.assert_array_equal(got[:, k], want[k])
+
+
+def test_elevation_table_equals_the_sweep_on_the_same_angles(tmp_path):
+    table = run_scenario(write(tmp_path, ELEV_BASE.replace("points = 2", "points = 5")
+                               .replace("profile_points = 11", "profile_points = 201")))
+    theta = np.radians([row[0] for row in table.rows])
+    want = elevation_sweep(500e3, nominal_satellite_lidar(1.0), nominal_ground_lidar(1.0),
+                           theta)
+    got = np.array([row[1:] for row in table.rows], dtype=float)
+    assert got.shape == (5, 4)
+    for k, name in enumerate(("max_eta_ae", "max_eta_eb", "eta_ab_diffraction",
+                              "eta_ab_effective")):
+        np.testing.assert_allclose(got[:, k], getattr(want, name), rtol=1e-12)
+
+
 def test_elevation_scenario_frozen_endpoint(tmp_path):
     table = run_scenario(write(tmp_path, """\
         [scenario]
@@ -549,8 +590,20 @@ def test_read_table_needs_a_header():
         read_table(io.StringIO("# only = metadata\n"))
 
 
-def test_output_bytes_do_not_depend_on_the_worker_count(tmp_path):
-    path = write(tmp_path, QUICK_WORST)
+# One file per kind of evaluator; no sweep length divides evenly by 4.
+WORKER_COUNT_CASES = {
+    "cv-rr-worst": QUICK_WORST.replace("points = 4", "points = 5"),
+    "cv-rr-fixed": CV_FIXED_BASE.replace("points = 2", "points = 6"),
+    "dv-wcp": DV_BASE.replace("points = 2", "points = 7"),
+    "lidar-profile": LIDAR_BASE.replace("points = 2", "points = 41"),
+    "radar": RADAR_BASE.replace("points = 2", "points = 13"),
+    "lidar-elevation": ELEV_BASE.replace("points = 2", "points = 7"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WORKER_COUNT_CASES))
+def test_output_bytes_do_not_depend_on_the_worker_count(tmp_path, case):
+    path = write(tmp_path, WORKER_COUNT_CASES[case])
     blobs = []
     for threads in (1, 4):
         buf = io.StringIO()
@@ -602,6 +655,15 @@ def test_cli_validation_failure_is_exit_one(tmp_path, capsys):
     assert cli.main(["validate", path]) == 1
     assert cli.main(["run", path]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_oversized_grid_is_exit_one(tmp_path, capsys):
+    # Were the cap gone, run would fail at once allocating a 1e12-node grid
+    # rather than start the search.
+    path = write(tmp_path, HUGE_GRID)
+    assert cli.main(["validate", path]) == 1
+    assert cli.main(["run", path]) == 1
+    assert "grid_points must be <= 501" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [INF_XI, INF_F], ids=["cv-rr-xi", "dv-sps-f"])
