@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .gaussian import (
+    UnphysicalStateError,
     thermal_entropy,
     thermal_entropy_float,
     von_neumann_entropy,
@@ -330,8 +330,10 @@ def holevo_dr_m2_bound(eta_ae: float, v: float) -> float:
     """
     if not 0.0 <= eta_ae <= 1.0:
         raise ValueError(f"eta_ae must lie in [0, 1], got {eta_ae}")
+    if not v >= 1.0:
+        raise UnphysicalStateError(f"source variance must be >= 1, got {v}")
     w = _collected_variance(eta_ae, v)
-    return float(thermal_entropy(w) - thermal_entropy(math.sqrt(w)))
+    return thermal_entropy_float(w) - thermal_entropy_float(math.sqrt(w))
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +471,13 @@ def _polish_objective(mode, scenario_like, obs):
                           eta_s, eta_t, v, t_ch, xi_rx)
 
     return objective
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first polish: the polish
+    is the package's only SciPy user, so ``import satqkd`` loads no SciPy."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def _ceiling_minimum(objective, eta_ae: float, obs: ChannelObservation):

@@ -23,15 +23,36 @@ The channel itself is a simple threshold-detector model: two detectors of
 dark-count probability ``p_dc`` each, overall transmission
 ``eta = eta_ch * eta_d``, misalignment error ``e_d`` on signal detections and
 random (1/2) error on dark counts.
+
+One kernel evaluates this whole chain (channel model, photon-number terms
+and rate, with the single-photon best of three) on Python floats and on
+broadcastable NumPy arrays alike.  :func:`channel_observables`,
+:func:`photon_number_bounds`, :func:`restricted_rate` and :func:`rate_at`
+wrap it on floats, where it computes exactly the plain ``math``
+expressions; :func:`rate_arrays` runs it on arrays, one lane per operating
+point.  :func:`optimize_mu_arrays` maximises the WCP rate over the pulse
+intensity for a whole array of operating points: one array for the coarse
+scan, then a golden-section search run in lockstep, each lane with its own
+bracket and stopping rule, so no lane's result depends on the others.
+:func:`optimize_mu` is its one-point wrapper.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Literal
 
+import numpy as np
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
+
+# The NumPy functions the kernel calls, for Python floats.  Both branches of
+# ``where`` are evaluated, as in NumPy, so the kernel guards its own domains.
+_FLOAT_OPS = SimpleNamespace(exp=math.exp, expm1=math.expm1, log2=math.log2,
+                             maximum=max, minimum=min,
+                             where=lambda cond, a, b: a if cond else b)
 
 
 @dataclass(frozen=True)
@@ -88,13 +109,69 @@ class DvObservables:
             raise ValueError(f"qber must lie in [0, 0.5], got {self.qber}")
 
 
+# ---------------------------------------------------------------------------
+# Kernel: ``xp`` is ``_FLOAT_OPS`` for Python floats and ``np`` for arrays.
+# ---------------------------------------------------------------------------
+
+def _entropy(xp, x):
+    """Binary entropy in bits, continued by 0 outside (0, 1)."""
+    inner = (x > 0.0) & (x < 1.0)
+    x = xp.where(inner, x, 0.5)
+    return xp.where(inner, -x * xp.log2(x) - (1.0 - x) * xp.log2(1.0 - x), 0.0)
+
+
+def _observables(xp, wcp, eta, mu, p_dc, e_d):
+    """(gain, qber) of the threshold-detector channel; qber = 1/2 at zero gain.
+
+    Without dark counts 1 - (1 - p_signal) can round below p_signal, which
+    would leave a QBER of about -1e-16 where it is 0: it is clamped to [0, 1/2].
+    """
+    p_signal = -xp.expm1(-eta * mu) if wcp else eta
+    gain = 1.0 - (1.0 - p_dc) ** 2 * (1.0 - p_signal)
+    eq = e_d * p_signal + 0.5 * (gain - p_signal)
+    seen = gain > 0.0
+    qber = xp.where(seen, eq / xp.where(seen, gain, 1.0), 0.5)
+    return gain, xp.minimum(xp.maximum(qber, 0.0), 0.5)
+
+
+def _photon_terms(xp, wcp, mu, eta_ae):
+    """(p0_eve, p11) of the source model."""
+    if wcp:
+        return xp.exp(-mu * eta_ae), mu * eta_ae * xp.exp(-mu)
+    return 1.0 - eta_ae, eta_ae
+
+
+def _rate(xp, wcp, gain, qber, p0_eve, p11, f, q):
+    """The restricted bound; for the single-photon source the best of three."""
+    s0 = xp.maximum(gain - (1.0 - p0_eve), 0.0)
+    s11 = xp.maximum(gain - (1.0 - p11), 0.0)
+    credited = s11 > 0.0
+    e11 = xp.where(credited,
+                   xp.minimum(qber * gain / xp.where(credited, s11, 1.0), 0.5), 0.5)
+    h_e, h_11 = _entropy(xp, qber), _entropy(xp, e11)
+    rate = q * (-f * gain * h_e + s11 * (1.0 - h_11) + s0)
+    if wcp:
+        return rate
+    no_s0 = q * gain * (-f * h_e + 1.0 - h_11)
+    all_single = q * gain * (1.0 - (1.0 + f) * h_e)
+    return xp.maximum(xp.maximum(rate, no_s0), all_single)
+
+
+def _bb84_rate(xp, wcp, eta, mu, p_dc, e_d, f, q, eta_ae):
+    gain, qber = _observables(xp, wcp, eta, mu, p_dc, e_d)
+    p0_eve, p11 = _photon_terms(xp, wcp, mu, eta_ae)
+    return _rate(xp, wcp, gain, qber, p0_eve, p11, f, q)
+
+
+# ---------------------------------------------------------------------------
+# One operating point: float wrappers
+# ---------------------------------------------------------------------------
+
 def binary_entropy(x: float) -> float:
     """Shannon entropy of a bit with bias ``x``, in bits; h(0) = h(1) = 0."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"binary_entropy argument must lie in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return _entropy(_FLOAT_OPS, x)
 
 
 def channel_observables(p: DvParams) -> DvObservables:
@@ -104,22 +181,13 @@ def channel_observables(p: DvParams) -> DvObservables:
     Errors: e_d on rounds with at least one signal photon detected, 1/2 on
     dark-count-only clicks.
     """
-    if p.source == "wcp":
-        p_signal = -math.expm1(-p.eta * p.mu)
-    else:
-        p_signal = p.eta
-    no_dark = (1.0 - p.p_dc) ** 2
-    gain = 1.0 - no_dark * (1.0 - p_signal)
-    eq = p.e_d * p_signal + 0.5 * (gain - p_signal)
-    qber = eq / gain if gain > 0.0 else 0.5
-    return DvObservables(gain=gain, qber=min(qber, 0.5))
+    gain, qber = _observables(_FLOAT_OPS, p.source == "wcp", p.eta, p.mu, p.p_dc, p.e_d)
+    return DvObservables(gain=gain, qber=qber)
 
 
 def photon_number_bounds(p: DvParams) -> "tuple[float, float]":
     """(p0_eve, p11): Eve holds nothing / exactly the one photon that was sent."""
-    if p.source == "sps":
-        return 1.0 - p.eta_ae, p.eta_ae
-    return math.exp(-p.mu * p.eta_ae), p.mu * p.eta_ae * math.exp(-p.mu)
+    return _photon_terms(_FLOAT_OPS, p.source == "wcp", p.mu, p.eta_ae)
 
 
 def restricted_rate(p: DvParams, obs: DvObservables) -> float:
@@ -130,20 +198,9 @@ def restricted_rate(p: DvParams, obs: DvObservables) -> float:
     eavesdropper-independent bound q Q [1 - (1 + f) h(E)] that treats every
     detection as a single-photon event.
     """
-    gain, qber = obs.gain, obs.qber
-    if gain <= 0.0:
-        raise ValueError("gain must be positive")
     p0_eve, p11 = photon_number_bounds(p)
-    s0 = max(gain - (1.0 - p0_eve), 0.0)
-    s11 = max(gain - (1.0 - p11), 0.0)
-    e11 = 0.5 if s11 == 0.0 else min(qber * gain / s11, 0.5)
-    h_e = binary_entropy(qber)
-    rate = p.q * (-p.f * gain * h_e + s11 * (1.0 - binary_entropy(e11)) + s0)
-    if p.source == "sps":
-        no_s0 = p.q * gain * (-p.f * h_e + 1.0 - binary_entropy(e11))
-        all_single = p.q * gain * (1.0 - (1.0 + p.f) * h_e)
-        rate = max(rate, no_s0, all_single)
-    return rate
+    return _rate(_FLOAT_OPS, p.source == "wcp", obs.gain, obs.qber, p0_eve, p11,
+                 p.f, p.q)
 
 
 def rate_at(p: DvParams) -> float:
@@ -164,39 +221,77 @@ def optimize_mu(p: DvParams, *, mu_range: "tuple[float, float]" = (1e-4, 1e3),
     A log-spaced coarse scan brackets the maximum, then golden-section search
     on log10(mu) polishes it to ``tol``.  If no intensity gives a positive
     rate the returned rate is 0.0 and mu is the coarse-scan argmax, which
-    keeps sweeps well-defined in the no-key region.
+    keeps sweeps well-defined in the no-key region.  One lane of
+    :func:`optimize_mu_arrays`.
     """
     if p.source != "wcp":
         raise ValueError("mu optimisation only applies to the WCP source")
+    mu, rate = optimize_mu_arrays(eta_ch=p.eta_ch, eta_d=p.eta_d, p_dc=p.p_dc,
+                                  e_d=p.e_d, f=p.f, q=p.q, eta_ae=p.eta_ae,
+                                  mu_range=mu_range, coarse_points=coarse_points,
+                                  tol=tol)
+    return MuOptimum(mu=float(mu), rate=float(rate))
+
+
+# ---------------------------------------------------------------------------
+# Many operating points: arrays of the DvParams fields, one lane per point.
+# The caller validates them (the scenario runner probes both sweep ends).
+# ---------------------------------------------------------------------------
+
+def rate_arrays(source: str, *, eta_ch, eta_d, p_dc, e_d, f, q, eta_ae, mu=1.0):
+    """:func:`rate_at` over broadcastable arrays of the :class:`DvParams` fields."""
+    return _bb84_rate(np, source == "wcp", eta_ch * eta_d, mu, p_dc, e_d, f, q, eta_ae)
+
+
+def optimize_mu_arrays(*, eta_ch, eta_d, p_dc, e_d, f, q, eta_ae,
+                       mu_range: "tuple[float, float]" = (1e-4, 1e3),
+                       coarse_points: int = 200, tol: float = 1e-6):
+    """:func:`optimize_mu` for every operating point of broadcastable arrays of
+    the WCP fields; returns arrays (mu, rate) of their broadcast shape.
+
+    Each operating point is a lane (a row): the coarse scan is one
+    (lanes, coarse_points) array, and each golden-section step moves the
+    bracket of every lane still wider than ``tol``, so each lane takes
+    exactly the steps it would take alone.
+    """
     lo, hi = math.log10(mu_range[0]), math.log10(mu_range[1])
     if not hi > lo:
         raise ValueError(f"empty mu range {mu_range}")
+    if coarse_points < 2:
+        raise ValueError(f"coarse_points must be >= 2, got {coarse_points}")
+    fields = np.broadcast_arrays(eta_ch * eta_d, p_dc, e_d, f, q, eta_ae)
+    shape = fields[0].shape
+    eta, p_dc, e_d, f, q, eta_ae = (np.reshape(a, (-1, 1)) for a in fields)
 
-    def rate_log(x: float) -> float:
-        return rate_at(replace(p, mu=10.0 ** x))
+    def rate_log(x):
+        return _bb84_rate(np, True, eta, 10.0 ** x, p_dc, e_d, f, q, eta_ae)
 
-    xs = [lo + (hi - lo) * i / (coarse_points - 1) for i in range(coarse_points)]
-    rates = [rate_log(x) for x in xs]
-    k = max(range(coarse_points), key=lambda i: rates[i])
-    if rates[k] <= 0.0:
-        return MuOptimum(mu=10.0 ** xs[k], rate=0.0)
+    xs = lo + (hi - lo) * np.arange(coarse_points) / (coarse_points - 1)
+    rates = rate_log(xs[None, :])
+    k = np.argmax(rates, axis=1)[:, None]
+    x_scan, r_scan = xs[k], np.take_along_axis(rates, k, axis=1)
+    no_key = r_scan <= 0.0
 
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, coarse_points - 1)]
+    a = xs[np.maximum(k - 1, 0)]
+    b = xs[np.minimum(k + 1, coarse_points - 1)]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = rate_log(c), rate_log(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = rate_log(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = rate_log(d)
+    active = (b - a > tol) & ~no_key
+    while active.any():
+        left = active & (fc >= fd)   # the maximum lies in [a, d]
+        right = active & ~left       # ... in [c, b]
+        b[left], d[left], fd[left] = d[left], c[left], fc[left]
+        a[right], c[right], fc[right] = c[right], d[right], fd[right]
+        c[left] = b[left] - _GOLDEN * (b[left] - a[left])
+        d[right] = a[right] + _GOLDEN * (b[right] - a[right])
+        f_new = rate_log(np.where(left, c, d))
+        fc[left], fd[right] = f_new[left], f_new[right]
+        active &= b - a > tol
+
     x_best = 0.5 * (a + b)
     r_best = rate_log(x_best)
-    if rates[k] > r_best:  # guard against a non-unimodal bracket
-        x_best, r_best = xs[k], rates[k]
-    return MuOptimum(mu=10.0 ** x_best, rate=r_best)
+    guard = r_scan > r_best  # a non-unimodal bracket
+    x_best = np.where(guard | no_key, x_scan, x_best)
+    r_best = np.where(no_key, 0.0, np.where(guard, r_scan, r_best))
+    return (10.0 ** x_best).reshape(shape), r_best.reshape(shape)

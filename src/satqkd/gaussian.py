@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import block_diag
 
 LN2 = math.log(2.0)
 
@@ -152,7 +151,15 @@ def two_mode_squeezed_cm(v: float) -> np.ndarray:
 
 def direct_sum(*cms: np.ndarray) -> np.ndarray:
     """Covariance matrix of a product state (block-diagonal stacking)."""
-    return block_diag(*cms)
+    blocks = [np.asarray(cm, dtype=float) for cm in cms]
+    n = sum(block.shape[0] for block in blocks)
+    out = np.zeros((n, n))
+    i = 0
+    for block in blocks:
+        k = block.shape[0]
+        out[i:i + k, i:i + k] = block
+        i += k
+    return out
 
 
 def beamsplitter_symplectic(eta: float, mode_a: int, mode_b: int, n_modes: int) -> np.ndarray:

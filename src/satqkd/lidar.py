@@ -89,17 +89,16 @@ class LidarConfig:
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """Alice-Bob line of sight and the two aperture radii."""
+    """Alice-Bob line of sight and Bob's (ground) aperture radius."""
 
     total_range: float  # m, distance A -> B
-    r_a: float          # m, satellite aperture radius
     r_b: float          # m, ground aperture radius
 
     def __post_init__(self):
         if self.total_range <= 0.0:
             raise ValueError("total_range must be positive")
-        if self.r_a <= 0.0 or self.r_b <= 0.0:
-            raise ValueError("aperture radii must be positive")
+        if self.r_b <= 0.0:
+            raise ValueError("aperture radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -315,7 +314,7 @@ class ElevationSweep:
 
 
 def elevation_sweep(altitude: float, cfg_sat: LidarConfig, cfg_ground: LidarConfig,
-                    theta_grid, *, r_a: float = 0.15, r_b: float = 0.5,
+                    theta_grid, *, r_b: float = 0.5,
                     comm_beam: "BeamParams | None" = None, profile_points: int = 201,
                     extinction_coefficient: float = 0.7,
                     detection_efficiency: float = 0.5,
@@ -330,7 +329,7 @@ def elevation_sweep(altitude: float, cfg_sat: LidarConfig, cfg_ground: LidarConf
     theta = np.asarray(theta_grid, dtype=float)
     beam = comm_beam if comm_beam is not None else cfg_sat.beam
     d = np.array([slant_range(th, altitude) for th in theta.tolist()])
-    profiles = [eve_efficiency_profile(LinkGeometry(total_range=di, r_a=r_a, r_b=r_b),
+    profiles = [eve_efficiency_profile(LinkGeometry(total_range=di, r_b=r_b),
                                        cfg_sat, cfg_ground, profile_points, comm_beam=beam)
                 for di in d.tolist()]
     extinction = np.array([atmospheric_extinction(th, extinction_coefficient)
@@ -353,7 +352,7 @@ def nominal_comm_beam() -> BeamParams:
 
 
 def nominal_geometry(total_range: float = 500e3) -> LinkGeometry:
-    return LinkGeometry(total_range=total_range, r_a=0.15, r_b=0.5)
+    return LinkGeometry(total_range=total_range, r_b=0.5)
 
 
 def nominal_satellite_lidar(transmit_power: float = 1.0) -> LidarConfig:

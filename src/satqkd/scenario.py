@@ -50,7 +50,7 @@ given here or swept):
 
 :func:`run_scenario` cuts the sweep into contiguous slices, one per worker;
 each mode's evaluator maps a slice of sweep values to its rows (as arrays
-for the LIDAR modes, point by point for CV and DV).
+for the DV and LIDAR modes, point by point for CV).
 
 Tables are emitted as CSV or TSV: a ``#``-prefixed metadata block (sorted
 keys), a header row, then one row per sweep point with floats in
@@ -83,7 +83,7 @@ from .cv import (
     mutual_info,
     worst_case_rate,
 )
-from .dv import DvParams, optimize_mu, rate_at
+from .dv import DvParams, optimize_mu_arrays, rate_arrays
 from .lidar import (
     BeamParams,
     LidarConfig,
@@ -316,7 +316,8 @@ def _resolve_dv(mode: str, sweep: SweepSpec, raw: dict) -> dict:
 
 
 def _probe_dv(mode: str, p: dict) -> None:
-    _dv_params(p, "wcp" if mode == "dv-wcp" else "sps", mu=p.get("mu", 1.0))
+    DvParams(source="wcp" if mode == "dv-wcp" else "sps", mu=p.get("mu", 1.0),
+             **{key: p[key] for key in _DV_KEYS})
 
 
 _BEAM_KEYS = {
@@ -537,6 +538,10 @@ def _clamp(rate: float) -> float:
     return rate if rate > 0.0 else 0.0
 
 
+def _clamp_array(rate: np.ndarray) -> np.ndarray:
+    return np.where(rate > 0.0, rate, 0.0)
+
+
 def _cv_obs(p: dict) -> ChannelObservation:
     return ChannelObservation(t_eq=p["t_eq"], xi=p["xi"], eta_d=p["eta_d"],
                               nu_el=p["nu_el"])
@@ -595,12 +600,6 @@ def _evaluator_cv_dr_m2(spec: ScenarioSpec):
     return columns, _pointwise(spec, row)
 
 
-def _dv_params(p: dict, source: str, **extra) -> DvParams:
-    return DvParams(source=source, eta_ch=p["eta_ch"], eta_d=p["eta_d"],
-                    p_dc=p["p_dc"], e_d=p["e_d"], f=p["f"], q=p["q"],
-                    eta_ae=p["eta_ae"], **extra)
-
-
 def _evaluator_dv(spec: ScenarioSpec):
     # dv-wcp evaluates mu as given when it is fixed (or swept), and otherwise
     # optimises it per point and reports the optimum.  Every DV table ends
@@ -610,19 +609,21 @@ def _evaluator_dv(spec: ScenarioSpec):
     columns = (("rate_wcp", "rate_wcp_pos") if wcp else ()) \
         + (("mu_opt",) if optimise else ()) + ("rate_sps", "rate_sps_pos")
 
-    def row(p: dict) -> tuple:
+    def rows(values: "list[float]") -> "list[tuple]":
+        p = {**spec.params, spec.sweep.variable: np.array(values, dtype=float)}
+        link = {key: p[key] for key in _DV_KEYS}
+        cells = []
         if optimise:
-            best = optimize_mu(_dv_params(p, "wcp"))
-            cells = (best.rate, _clamp(best.rate), best.mu)
+            mu, rate = optimize_mu_arrays(**link)
+            cells += [rate, _clamp_array(rate), mu]
         elif wcp:
-            rate = rate_at(_dv_params(p, "wcp", mu=p["mu"]))
-            cells = (rate, _clamp(rate))
-        else:
-            cells = ()
-        sps = rate_at(_dv_params(p, "sps"))
-        return cells + (sps, _clamp(sps))
+            rate = rate_arrays("wcp", mu=p["mu"], **link)
+            cells += [rate, _clamp_array(rate)]
+        sps = rate_arrays("sps", **link)
+        cells += [sps, _clamp_array(sps)]
+        return list(zip(*(np.broadcast_to(c, (len(values),)).tolist() for c in cells)))
 
-    return columns, _pointwise(spec, row)
+    return columns, rows
 
 
 def _dual_lidars(p: dict, beam: BeamParams) -> "tuple[LidarConfig, LidarConfig]":
@@ -640,7 +641,7 @@ def _evaluator_lidar_profile(spec: ScenarioSpec):
     p = spec.params
     total = p["total_range"]
     beam = BeamParams(**{key: p[key] for key in _BEAM_KEYS})
-    geom = LinkGeometry(total_range=total, r_a=p["r_a"], r_b=p["r_b"])
+    geom = LinkGeometry(total_range=total, r_b=p["r_b"])
     dual = p["bound_source"] == "dual-lidar"
     if dual:
         cfg_sat, cfg_ground = _dual_lidars(p, beam)
@@ -686,7 +687,7 @@ def _evaluator_lidar_elevation(spec: ScenarioSpec):
     def rows(values: "list[float]") -> "list[tuple]":
         out = elevation_sweep(
             p["altitude"], cfg_sat, cfg_ground, np.radians(values),
-            r_a=p["r_a"], r_b=p["r_b"], comm_beam=beam,
+            r_b=p["r_b"], comm_beam=beam,
             profile_points=p["profile_points"],
             extinction_coefficient=p["extinction_coefficient"],
             detection_efficiency=p["detection_efficiency"],
@@ -806,7 +807,8 @@ def emit(table: ResultTable, dest, *, fmt: str = "csv") -> None:
             raise ValueError(
                 f"ragged table: row of {len(row)} cells under "
                 f"{len(table.columns)} columns")
-        lines.append(sep.join(_format_cell(cell) for cell in row))
+        lines.append(sep.join([f"{cell:.17e}" if type(cell) is float
+                               else _format_cell(cell) for cell in row]))
     text = "\n".join(lines) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)

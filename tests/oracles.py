@@ -396,3 +396,51 @@ def simulate_dv(source: str, mu: float, eta: float, eta_ae: float,
     return {"gain": gain, "gain_se": gain_se, "qber": qber, "qber_se": qber_se,
             "s0": s0, "s0_se": s0_se, "s11": s11, "s11_se": s11_se,
             "rest": rest, "rest_se": rest_se}
+
+
+# ---------------------------------------------------------------------------
+# Intensity search
+# ---------------------------------------------------------------------------
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_mu_search(rate_of_mu, mu_range: "tuple[float, float]" = (1e-4, 1e3),
+                     coarse_points: int = 200, tol: float = 1e-6) -> "tuple[float, float]":
+    """(mu, rate) maximising ``rate_of_mu`` one evaluation at a time.
+
+    The scalar search the package ran before its lockstep version: a
+    log-spaced coarse scan, then golden-section search on log10(mu) down to a
+    bracket of ``tol``.  No positive rate anywhere gives rate 0 at the scan
+    argmax; a polished point worse than the scan's best falls back to it.
+    """
+    lo, hi = math.log10(mu_range[0]), math.log10(mu_range[1])
+
+    def rate_log(x: float) -> float:
+        return rate_of_mu(10.0 ** x)
+
+    xs = [lo + (hi - lo) * i / (coarse_points - 1) for i in range(coarse_points)]
+    rates = [rate_log(x) for x in xs]
+    k = max(range(coarse_points), key=lambda i: rates[i])
+    if rates[k] <= 0.0:
+        return 10.0 ** xs[k], 0.0
+
+    a = xs[max(k - 1, 0)]
+    b = xs[min(k + 1, coarse_points - 1)]
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = rate_log(c), rate_log(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = rate_log(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = rate_log(d)
+    x_best = 0.5 * (a + b)
+    r_best = rate_log(x_best)
+    if rates[k] > r_best:
+        x_best, r_best = xs[k], rates[k]
+    return 10.0 ** x_best, r_best

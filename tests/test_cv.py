@@ -276,6 +276,11 @@ def test_dr_m2_bound_rejects_bad_collection():
         holevo_dr_m2_bound(1.5, 300.0)
 
 
+def test_dr_m2_bound_rejects_a_sub_vacuum_source():
+    with pytest.raises(ValueError):
+        holevo_dr_m2_bound(0.3, 0.5)
+
+
 def test_dr_m2_bound_fixed_point():
     # g(w) - g(sqrt(w)) at w = 0.3 * 39 + 1, checked to 50 digits offline.
     assert holevo_dr_m2_bound(0.3, 40.0) == \

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from satqkd.dv import (
@@ -12,7 +13,9 @@ from satqkd.dv import (
     binary_entropy,
     channel_observables,
     optimize_mu,
+    optimize_mu_arrays,
     photon_number_bounds,
+    rate_arrays,
     rate_at,
     restricted_rate,
 )
@@ -208,6 +211,175 @@ def test_optimized_wcp_beats_sps_only_below_threshold():
 def test_optimize_rejects_sps():
     with pytest.raises(ValueError):
         optimize_mu(sps(0.5))
+
+
+# ---------------------------------------------------------------------------
+# array kernel against the float wrappers
+# ---------------------------------------------------------------------------
+
+# One lane per branch of the kernel, as (source, DvParams fields, branch).
+BRIGHT = {**BASE, "eta_ch": 1.0, "eta_d": 1.0}
+BRANCH_LANES = [
+    ("wcp", dict(BASE, eta_ae=0.3, mu=0.5), "s0 = 0 and s11 = 0, so e11 = 1/2"),
+    ("wcp", dict(BASE, eta_ae=1e-4, mu=0.5), "s0 > 0"),
+    ("sps", dict(BRIGHT, p_dc=1e-6, eta_ae=0.7), "e11 below 1/2; restricted arm"),
+    ("sps", dict(BASE, eta_ae=1.0 - 0.99 * 9.0e-4), "e11 capped at 1/2 from above"),
+    # The raw QBER never exceeds 1/2 for valid inputs: the cap is met at e_d = 1/2.
+    ("sps", dict(BASE, e_d=0.5, eta_ae=0.5), "QBER at its cap of 1/2"),
+    ("sps", dict(BRIGHT, p_dc=0.0, e_d=0.0, eta_ae=0.7), "h(0)"),
+    ("sps", dict(BRIGHT, eta_ch=0.1, p_dc=0.0, e_d=0.0, eta_ae=0.5),
+     "QBER rounded to -1.4e-16, clamped to 0"),
+    ("sps", dict(BASE, eta_ae=1e-6), "restricted arm"),
+    ("sps", dict(BASE, eta_ae=0.5), "all-single arm"),
+    # At eta_ae = 1 the three bounds coincide; this one wins by rounding.
+    ("sps", dict(eta_ch=0.007927489429502102, eta_d=0.4804184990778926,
+                 p_dc=1.4788292326570413e-09, e_d=0.02485665529991279,
+                 f=1.335312207346815, q=0.6824705604168251, eta_ae=1.0),
+     "no-S0 arm"),
+]
+
+
+def _branches(source, fields):
+    """The kernel branches one lane takes, recomputed from the float wrappers."""
+    p = DvParams(source=source, **fields)
+    obs = channel_observables(p)
+    p0, p11 = photon_number_bounds(p)
+    s0 = max(obs.gain - (1.0 - p0), 0.0)
+    s11 = max(obs.gain - (1.0 - p11), 0.0)
+    out = {"s0 = 0" if s0 == 0.0 else "s0 > 0", "s11 = 0" if s11 == 0.0 else "s11 > 0"}
+    e11 = 0.5
+    if s11 > 0.0:
+        raw = obs.qber * obs.gain / s11
+        out.add("e11 capped" if raw > 0.5 else "e11 below 1/2")
+        e11 = min(raw, 0.5)
+    if obs.qber == 0.5:
+        out.add("QBER at 1/2")
+    if obs.qber == 0.0:
+        out.add("h(0)")
+    if source == "sps":
+        h_e, h_11 = binary_entropy(obs.qber), binary_entropy(e11)
+        arms = (p.q * (-p.f * obs.gain * h_e + s11 * (1.0 - h_11) + s0),
+                p.q * obs.gain * (-p.f * h_e + 1.0 - h_11),
+                p.q * obs.gain * (1.0 - (1.0 + p.f) * h_e))
+        out.add(("restricted arm", "no-S0 arm", "all-single arm")[arms.index(max(arms))])
+    return out
+
+
+def test_branch_lanes_reach_every_branch():
+    reached = set().union(*(_branches(source, fields) for source, fields, _ in BRANCH_LANES))
+    assert reached >= {"s0 = 0", "s0 > 0", "s11 = 0", "s11 > 0", "e11 capped",
+                       "e11 below 1/2", "QBER at 1/2", "h(0)", "restricted arm",
+                       "no-S0 arm", "all-single arm"}
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+lane_fields = st.fixed_dictionaries({
+    "eta_ch": st.one_of(st.just(1.0), _log_uniform(-8.0, 0.0)),
+    "eta_d": st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+    "p_dc": st.one_of(st.just(0.0), _log_uniform(-9.0, -2.0)),
+    "e_d": st.one_of(st.sampled_from((0.0, 0.5)), st.floats(0.0, 0.5)),
+    "f": st.floats(1.0, 2.0),
+    "q": st.floats(0.05, 1.0),
+    "eta_ae": st.one_of(st.just(1.0), _log_uniform(-8.0, 0.0)),
+    "mu": _log_uniform(-4.0, 3.0),
+})
+
+
+def _batch(source):
+    return [dict(fields, mu=fields.get("mu", 1.0))
+            for src, fields, _ in BRANCH_LANES if src == source]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(("sps", "wcp")), st.lists(lane_fields, min_size=1, max_size=12))
+@example("wcp", _batch("wcp"))
+@example("sps", _batch("sps"))
+def test_array_kernel_matches_the_float_wrappers_lane_by_lane(source, lanes):
+    arrays = {key: np.array([lane[key] for lane in lanes]) for key in lanes[0]}
+    with np.errstate(divide="raise", invalid="raise"):  # guarded domains only
+        got = rate_arrays(source, **arrays)
+    assert got.shape == (len(lanes),)
+    for lane, value in zip(lanes, got.tolist()):
+        want = rate_at(DvParams(source=source, **lane))
+        # Each term is a multiple of the gain; one ulp of p0 ~ 1 is 1.1e-16.
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_rounding_leaves_no_negative_qber_without_dark_counts():
+    # 1 - (1 - 0.1) rounds to 0.09999999999999998: the error count
+    # 0.5 (gain - p_signal) came out at -1.4e-17 and DvObservables raised.
+    p = sps(0.5, eta_ch=0.1, eta_d=1.0, p_dc=0.0, e_d=0.0)
+    assert channel_observables(p).qber == 0.0
+    assert rate_at(p) == pytest.approx(0.1, rel=1e-14)
+
+
+def test_array_kernel_takes_zero_gain_as_no_key():
+    # Without dark counts a faint enough pulse is never seen: the float
+    # wrappers reject the zero gain, the kernel reports QBER 1/2 and rate 0.
+    with np.errstate(divide="raise", invalid="raise"):
+        rate = rate_arrays("wcp", eta_ch=np.array([1e-12, 1e-3]), eta_d=1.0,
+                           p_dc=0.0, e_d=0.01, f=1.16, q=1.0, eta_ae=0.5, mu=1e-6)
+    assert rate[0] == 0.0 and rate[1] < 0.0
+
+
+def test_scalar_wrappers_return_python_floats():
+    p = wcp(3e-4)
+    assert type(rate_at(p)) is float
+    assert type(restricted_rate(p, channel_observables(p))) is float
+    obs = channel_observables(p)
+    assert type(obs.gain) is float and type(obs.qber) is float
+    out = optimize_mu(p)
+    assert type(out.mu) is float and type(out.rate) is float
+
+
+# ---------------------------------------------------------------------------
+# lockstep intensity search against the one-point reference
+# ---------------------------------------------------------------------------
+
+# (eta_ch, eta_ae) per lane.  On the 30 dB link the first three rail at the
+# intensity cap (the bracket holds the last scan node), 8.2e-4 and 1 have no
+# key and the rest peak inside the scan.  On the lossless link the optimum
+# intensity is 1.2 at eta_ae = 0.5 and 2.6 at 0.1.
+SEARCH_LANES = [(1e-3, 1e-4), (1e-3, 3e-4), (1e-3, 5e-4), (1e-3, 7e-4), (1e-3, 8e-4),
+                (1e-3, 8.2e-4), (1e-3, 1.0), (1.0, 0.5), (1.0, 0.1)]
+
+
+@pytest.mark.parametrize("mu_range", [(1e-4, 1e3), (2.0, 1e3)],
+                         ids=["default", "peak-below-range"])
+def test_lockstep_search_matches_the_scalar_reference(mu_range):
+    # The reference evaluates the same array kernel one point at a time, so
+    # this checks the search alone.  From mu = 2 up, the eta_ae = 0.5 lane
+    # falls from the first scan node on: its bracket holds the lower end.
+    eta_ch, eta_ae = (np.array(column) for column in zip(*SEARCH_LANES))
+    link = {key: BASE[key] for key in ("eta_d", "p_dc", "e_d", "f", "q")}
+    mu, rate = optimize_mu_arrays(eta_ch=eta_ch, eta_ae=eta_ae, mu_range=mu_range, **link)
+    assert mu.shape == rate.shape == eta_ae.shape
+    for i, (ch, ea) in enumerate(SEARCH_LANES):
+        fields = dict(link, eta_ch=ch, eta_ae=ea)
+        ref_mu, ref_rate = oracles.golden_mu_search(
+            lambda m: float(rate_arrays("wcp", mu=m, **fields)), mu_range)
+        assert rate[i] >= ref_rate - 1e-15 * abs(ref_rate)
+        assert abs(math.log10(mu[i] / ref_mu)) <= 1e-6
+        if ref_rate == 0.0:
+            assert rate[i] == 0.0
+    assert np.count_nonzero(rate == 0.0) == 2
+    if mu_range[0] == 2.0:
+        assert mu[7] == pytest.approx(2.0)  # the lower-end lane
+
+
+def test_lockstep_lanes_do_not_depend_on_each_other():
+    # With the intensity capped at 780, the eta_ae = 7e-4 optimum (764.5)
+    # lies in the last scan interval: its bracket is half as wide as the
+    # interior ones and must stop after fewer steps.  1e-3 has no key.
+    eta_ae = np.array([7e-4, 5e-4, 8e-4, 1e-3])
+    fields = dict(BASE, mu_range=(1e-4, 780.0))
+    mu, rate = optimize_mu_arrays(eta_ae=eta_ae, **fields)
+    for i in range(eta_ae.size):
+        mu_i, rate_i = optimize_mu_arrays(eta_ae=eta_ae[i:i + 1], **fields)
+        assert (mu_i[0], rate_i[0]) == (mu[i], rate[i])
 
 
 # ---------------------------------------------------------------------------

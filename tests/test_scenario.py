@@ -5,11 +5,14 @@ import glob
 import io
 import math
 import os
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 
+import satqkd
 from satqkd import cli
 from satqkd.cv import ChannelObservation, CvScenario, InfeasibleAttackError
 from satqkd.dv import DvParams
@@ -304,7 +307,7 @@ FIELD_ROUTES = [
     (LidarConfig, "noise_floor", LIDAR_BASE, "noise_floor_ground = 1e-13"),
     (LidarConfig, "beam", LIDAR_BASE, None),  # via the waist/wavelength/quality keys
     (LinkGeometry, "total_range", LIDAR_BASE, "total_range = 6e5"),
-    (LinkGeometry, "r_a", LIDAR_BASE, "r_a = 0.2"),
+    (LidarConfig, "noise_floor", LIDAR_BASE, "r_a = 0.2"),  # the moonlight default
     (LinkGeometry, "r_b", LIDAR_BASE, "r_b = 0.6"),
     (RadarParams, "transmit_power", RADAR_BASE, "radar_power = 2e5"),
     (RadarParams, "antenna_radius", RADAR_BASE, "radar_antenna_radius = 3.0"),
@@ -459,6 +462,19 @@ def test_wcp_sweep_with_pinned_mu_has_no_opt_column(tmp_path):
     assert table.columns[:3] == ("eta_ae", "rate_wcp", "rate_wcp_pos")
 
 
+def test_dv_sweep_without_dark_counts_or_misalignment_runs(tmp_path):
+    # Rounding once left a QBER of -1e-16 at eta_ch = 0.1, and the run died.
+    text = (DV_BASE.replace("mode = dv-wcp", "mode = dv-sps")
+            .replace("variable = eta_ae", "variable = eta_ch")
+            .replace("start = 1e-4", "start = 0.05").replace("stop = 8e-4", "stop = 0.2")
+            .replace("points = 2", "points = 4").replace("scale = log", "scale = linear")
+            .replace("eta_ch = 1e-3", "eta_ae = 0.5").replace("eta_d = 0.9", "eta_d = 1.0")
+            .replace("p_dc = 1e-7", "p_dc = 0.0").replace("e_d = 0.01", "e_d = 0.0"))
+    table = run_scenario(write(tmp_path, text))
+    for eta_ch, rate, _ in table.rows:
+        assert rate == pytest.approx(eta_ch, rel=1e-12)  # every click is key
+
+
 def test_lidar_profile_matches_the_library_profile(tmp_path):
     table = run_scenario(write(tmp_path, """\
         [scenario]
@@ -577,6 +593,22 @@ def test_empty_cells_round_trip_as_none(tmp_path):
     assert back.rows[1] == (2.0, 0.5, 1.0)
 
 
+def test_emit_writes_every_cell_type_as_before():
+    # Plain floats take a fast path; the other types go through the general
+    # formatter.  Both must give these bytes.
+    cells = (0.1, -0.0, 1e-300, np.float64(0.1), np.float64(-2.5e17), 3, np.int64(-7),
+             True, False, None)
+    want = ("1.00000000000000006e-01,-0.00000000000000000e+00,"
+            "1.00000000000000003e-300,1.00000000000000006e-01,"
+            "-2.50000000000000000e+17,3,-7,1.00000000000000000e+00,"
+            "0.00000000000000000e+00,")
+    table = ResultTable(columns=tuple(f"c{i}" for i in range(len(cells))),
+                        rows=[cells], metadata={})
+    buf = io.StringIO()
+    emit(table, buf)
+    assert buf.getvalue().splitlines()[-1] == want
+
+
 def test_emit_rejects_unknown_format_and_ragged_rows(tmp_path):
     table = ResultTable(columns=("a", "b"), rows=[(1.0,)], metadata={})
     with pytest.raises(ScenarioError):
@@ -595,6 +627,12 @@ WORKER_COUNT_CASES = {
     "cv-rr-worst": QUICK_WORST.replace("points = 4", "points = 5"),
     "cv-rr-fixed": CV_FIXED_BASE.replace("points = 2", "points = 6"),
     "dv-wcp": DV_BASE.replace("points = 2", "points = 7"),
+    # mu optimised on both sides of the no-key threshold near 8.1e-4
+    "dv-wcp-no-key": DV_BASE.replace("points = 2", "points = 11")
+                            .replace("stop = 8e-4", "stop = 3e-3"),
+    "dv-wcp-fixed-mu": DV_BASE.replace("points = 2", "points = 9") + "    mu = 0.5\n",
+    "dv-sps": DV_BASE.replace("mode = dv-wcp", "mode = dv-sps")
+                     .replace("points = 2", "points = 9"),
     "lidar-profile": LIDAR_BASE.replace("points = 2", "points = 41"),
     "radar": RADAR_BASE.replace("points = 2", "points = 13"),
     "lidar-elevation": ELEV_BASE.replace("points = 2", "points = 7"),
@@ -611,6 +649,23 @@ def test_output_bytes_do_not_depend_on_the_worker_count(tmp_path, case):
         blobs.append(buf.getvalue())
     assert blobs[0] == blobs[1]
     assert len(blobs[0]) > 100
+
+
+def test_import_and_non_cv_runs_load_no_scipy(tmp_path):
+    # SciPy serves only the CV worst-case polish, so a fresh interpreter that
+    # imports the package and runs a DV and a LIDAR file never loads it.
+    files = [write(tmp_path, DV_BASE, "dv.ini"), write(tmp_path, LIDAR_BASE, "lidar.ini")]
+    code = ("import sys, satqkd\n"
+            "from satqkd.scenario import run_scenario\n"
+            "for path in sys.argv[1:]:\n"
+            "    run_scenario(path)\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(satqkd.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code, *files], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_golden_file_reproduces_byte_for_byte():
