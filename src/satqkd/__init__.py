@@ -10,9 +10,7 @@ from .cv import (
     InfeasibleAttackError,
     WorstCaseResult,
     build_cm,
-    holevo_dr_m1,
     holevo_dr_m2_bound,
-    holevo_rr,
     key_rate_point,
     max_bypass_transmissivity,
     mutual_info,
@@ -60,7 +58,7 @@ __all__ = [
     "RadarParams", "ResultTable", "ScenarioError", "ScenarioSpec", "SweepSpec",
     "UnphysicalStateError", "WorstCaseResult", "binary_entropy", "build_cm",
     "channel_observables", "elevation_sweep", "emit", "eve_efficiency_profile",
-    "holevo_dr_m1", "holevo_dr_m2_bound", "holevo_rr", "key_rate_point",
+    "holevo_dr_m2_bound", "key_rate_point",
     "lidar_size_bound", "load_scenario", "max_bypass_transmissivity",
     "mutual_info", "optimize_mu", "photon_number_bounds", "radar_size_bound",
     "read_table", "restricted_rate", "run_scenario", "solve_attack",

@@ -29,6 +29,13 @@ covariance matrix of Alice, Bob and the two cloner output modes:
 Because the legitimate users cannot characterise the bypass, operational
 security statements minimise the rate over (``eta_s``, ``eta_t``);
 see :func:`worst_case_rate`.
+
+One attack solver (``_attack``), one closed-form Holevo kernel (``_chi``)
+and one mutual information run on Python floats and on NumPy arrays alike.
+:func:`solve_attack`, :func:`key_rate_point`, :func:`holevo_bound` and the
+worst-case polish evaluate one hypothesis on floats; :func:`rate_arrays` is
+the one array entry point, behind the worst-case bypass grid and the
+scenario runner's fixed-hypothesis and DR-M2 sweeps.
 """
 
 from __future__ import annotations
@@ -40,22 +47,25 @@ from enum import Enum
 
 import numpy as np
 
-from .gaussian import (
-    UnphysicalStateError,
-    thermal_entropy,
-    thermal_entropy_float,
-    von_neumann_entropy,
-)
+from .dv import _FLOAT_OPS
+from .gaussian import UnphysicalStateError, thermal_entropy, thermal_entropy_float
 
 # Feasibility comparisons tolerate this much floating-point slack.
 _FEAS_TOL = 1e-12
 
-# The dense bounds (holevo_rr, holevo_dr_m1) condition large covariance
-# matrices, which cancels large like terms, so they accept symplectic
-# eigenvalues down to 1 - 1e-6 as numerical noise (the gaussian-core default
-# of 1e-9 is tuned for O(1) matrices).  The closed-form kernel behind the
-# rates (_chi) does not cancel, and clamps its spectra at 1.
-_ENGINE_FLOOR_TOL = 1e-6
+# A feasible attack reproduces the observed excess noise to within this much,
+# in the units of xi (referred to the channel input).
+_XI_SLACK = 1e-12
+
+# solve_attack's reasons, indexed by the code _attack returns; 0 is feasible.
+_ATTACK_REASONS = (
+    "",
+    "bypass alone exceeds the observed transmissivity",
+    "no eavesdropper path but a direct amplitude is required",
+    "required cloner transmissivity exceeds 1 (observed channel too good)",
+    "transparent cloner cannot account for the excess-noise budget",
+    "environment noise through the combiner already exceeds the observed excess noise",
+)
 
 _DEFAULT_V = {"rr": 300.0, "dr-m1": 1e7, "dr-m2": 1e7}
 
@@ -181,44 +191,43 @@ def solve_attack(scenario: CvScenario, obs: ChannelObservation) -> AttackSolutio
     never an exception.
     """
     t_ch = obs.t_channel
-    return AttackSolution(*_attack(scenario.eta_ae, scenario.eta_s, scenario.eta_t,
-                                   t_ch, t_ch * obs.xi, scenario.v_s))
+    eta_e, v_e, code = _attack(_FLOAT_OPS, scenario.eta_ae, scenario.eta_s, scenario.eta_t,
+                               t_ch, t_ch * obs.xi, scenario.v_s)
+    return AttackSolution(eta_e, v_e, code == 0, _ATTACK_REASONS[code])
 
 
-def _attack(eta_ae: float, eta_s: float, eta_t: float, t_ch: float, xi_rx: float,
-            v_s: float) -> "tuple[float, float, bool, str]":
-    """:func:`solve_attack` on plain floats: (eta_e, v_e, feasible, reason)."""
-    bypass_amp = math.sqrt((1.0 - eta_ae) * eta_s * (1.0 - eta_t))
-    direct_amp = math.sqrt(t_ch) - bypass_amp
-    if direct_amp < -_FEAS_TOL:
-        return 0.0, 1.0, False, "bypass alone exceeds the observed transmissivity"
-    direct_amp = max(direct_amp, 0.0)
+def _attack(xp, eta_ae, eta_s, eta_t, t_ch, xi_rx, v_s):
+    """:func:`solve_attack` on Python floats (``xp`` is ``_FLOAT_OPS``) or on
+    broadcastable arrays (``xp`` is ``np``): (eta_e, v_e, code).
+
+    ``code`` indexes ``_ATTACK_REASONS``, 0 meaning feasible; the first check
+    that fails names the reason.  ``xi_rx = t_ch * xi`` is the excess noise at
+    the receiver.  A returned attack reproduces xi to within ``_XI_SLACK``.
+    Where infeasible, eta_e and v_e are only clamped into [0, 1] and [1, inf).
+    """
+    bypass_amp = xp.sqrt((1.0 - eta_ae) * eta_s * (1.0 - eta_t))
+    direct_amp = xp.sqrt(t_ch) - bypass_amp
+    amp = xp.maximum(direct_amp, 0.0)
     denom_e = eta_ae * eta_t
-    if denom_e <= 0.0:
-        if direct_amp <= _FEAS_TOL:
-            # Degenerate: Eve's path carries nothing, so her settings are moot;
-            # still need the noise budget to close below.
-            eta_e = 1.0
-        else:
-            return 0.0, 1.0, False, "no eavesdropper path but a direct amplitude is required"
-    else:
-        eta_e = direct_amp * direct_amp / denom_e
-        if eta_e > 1.0 + 1e-9:
-            return (min(eta_e, 1.0), 1.0, False,
-                    "required cloner transmissivity exceeds 1 (observed channel too good)")
-        eta_e = min(eta_e, 1.0)
-    thermal_extra = (1.0 - eta_s) * (1.0 - eta_t) * (v_s - 1.0)
-    residual = xi_rx - thermal_extra
+    # With no path to Eve (denom_e = 0) her settings are moot, eta_e = 1, as
+    # long as the bypass alone carries the light: adding 1 above and below
+    # gives 1 + amp^2, which is 1 there.  The noise budget must still close.
+    no_path = denom_e <= 0.0
+    eta_e = (amp * amp + no_path) / (denom_e + no_path)
+    too_good = eta_e > 1.0 + 1e-9
+    eta_e = xp.minimum(eta_e, 1.0)
+    residual = xi_rx - (1.0 - eta_s) * (1.0 - eta_t) * (v_s - 1.0)
     denom_n = (1.0 - eta_e) * eta_t
-    if denom_n <= _FEAS_TOL:
-        if abs(residual) <= 1e-9:
-            return eta_e, 1.0, True, ""
-        return eta_e, 1.0, False, "transparent cloner cannot account for the excess-noise budget"
-    v_e = 1.0 + residual / denom_n
-    if v_e < 1.0 - 1e-9:
-        return (eta_e, max(v_e, 0.0), False,
-                "environment noise through the combiner already exceeds the observed excess noise")
-    return eta_e, max(v_e, 1.0), True, ""
+    tight = denom_n <= _FEAS_TOL  # a transparent cloner: v_e = 1
+    v_e = xp.maximum(1.0 + residual / xp.where(tight, math.inf, denom_n), 1.0)
+    # The noise budget misses xi by more than the slack: either way for a
+    # transparent cloner (reason 4), by too much environment noise otherwise (5).
+    slack = _XI_SLACK * t_ch
+    noisy = (residual < -slack) | (tight & (residual > slack))
+    code = xp.where(direct_amp < -_FEAS_TOL, 1,
+                    xp.where(no_path & (amp > _FEAS_TOL), 2,
+                             xp.where(too_good, 3, noisy * (5 - tight))))
+    return eta_e, v_e, code
 
 
 def _collected_variance(eta_ae, v):
@@ -282,43 +291,15 @@ def mutual_info(obs: ChannelObservation, v: float) -> float:
     (1 - t)/t + xi referred to its input and the trusted detector adds
     ((1 - eta_d) + nu_el)/eta_d, scaled back through the channel.
     """
-    t_ch = obs.t_channel
-    chi_line = (1.0 - t_ch) / t_ch + obs.xi
-    chi_det = ((1.0 - obs.eta_d) + obs.nu_el) / obs.eta_d
+    return _mutual_info(_FLOAT_OPS, obs.t_channel, obs.xi, obs.eta_d, obs.nu_el, v)
+
+
+def _mutual_info(xp, t_ch, xi, eta_d, nu_el, v):
+    """:func:`mutual_info` on floats or arrays, given the channel's t_ch."""
+    chi_line = (1.0 - t_ch) / t_ch + xi
+    chi_det = ((1.0 - eta_d) + nu_el) / eta_d
     chi_tot = chi_line + chi_det / t_ch
-    return 0.5 * math.log2((v + chi_tot) / (1.0 + chi_tot))
-
-
-def holevo_rr(cm: np.ndarray, *, floor_tol: float = _ENGINE_FLOOR_TOL) -> float:
-    """Holevo bound on Eve's information about Bob's x-homodyne outcome.
-
-    ``cm`` is the 8x8 (A, B, E, E') matrix from :func:`build_cm`; Eve holds
-    (E, E').  Conditioning on Bob's x quadrature is the rank-one update of
-    the Eve block by Bob's cross-covariance column.
-    """
-    eve = cm[4:8, 4:8]
-    col = cm[4:8, 2]
-    cond = eve - np.outer(col, col) / cm[2, 2]
-    return von_neumann_entropy(eve, floor_tol=floor_tol) \
-        - von_neumann_entropy(cond, floor_tol=floor_tol)
-
-
-def holevo_dr_m1(cm: np.ndarray, *, floor_tol: float = _ENGINE_FLOOR_TOL) -> float:
-    """Holevo bound on Eve's information about Alice's heterodyne outcome.
-
-    Alice's heterodyne splits her mode on a balanced beam splitter; the x
-    outcome of one half carries her data.  That halves her cross covariances
-    and maps her variance to (v + 1)/2, after which the conditioning is the
-    same rank-one update as in the reverse case.  For very large source
-    variance prefer :func:`key_rate_point`, which evaluates the cancellation
-    analytically.
-    """
-    eve = cm[4:8, 4:8]
-    v_a = cm[0, 0]
-    col = cm[4:8, 0]  # Eve's covariance with Alice's x, before the split
-    cond = eve - np.outer(col, col) / (v_a + 1.0)
-    return von_neumann_entropy(eve, floor_tol=floor_tol) \
-        - von_neumann_entropy(cond, floor_tol=floor_tol)
+    return 0.5 * xp.log2((v + chi_tot) / (1.0 + chi_tot))
 
 
 def holevo_dr_m2_bound(eta_ae: float, v: float) -> float:
@@ -332,33 +313,19 @@ def holevo_dr_m2_bound(eta_ae: float, v: float) -> float:
         raise ValueError(f"eta_ae must lie in [0, 1], got {eta_ae}")
     if not v >= 1.0:
         raise UnphysicalStateError(f"source variance must be >= 1, got {v}")
+    return _dr_m2_chi(_FLOAT_OPS, thermal_entropy_float, eta_ae, v)
+
+
+def _dr_m2_chi(xp, entropy, eta_ae, v):
+    """:func:`holevo_dr_m2_bound` on floats or arrays, unvalidated."""
     w = _collected_variance(eta_ae, v)
-    return thermal_entropy_float(w) - thermal_entropy_float(math.sqrt(w))
+    return entropy(w) - entropy(xp.sqrt(w))
 
 
 # ---------------------------------------------------------------------------
-# Closed-form Holevo kernel: arrays for the bypass grid, floats for the polish.
+# Closed-form Holevo kernel: arrays for the bypass grid and scenario slices,
+# floats for single hypotheses and the polish.
 # ---------------------------------------------------------------------------
-
-
-def _solve_attack_arrays(eta_ae, eta_s, eta_t, t_ch, xi_rx, v_s):
-    """Vectorised :func:`solve_attack` over arrays of (eta_s, eta_t)."""
-    bypass_amp = np.sqrt((1.0 - eta_ae) * eta_s * (1.0 - eta_t))
-    direct_amp = math.sqrt(t_ch) - bypass_amp
-    denom_e = eta_ae * eta_t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta_e = np.where(denom_e > 0.0, direct_amp**2 / np.where(denom_e > 0, denom_e, 1.0), np.inf)
-    feasible = (direct_amp >= -_FEAS_TOL) & (denom_e > 0.0) & (eta_e <= 1.0 + 1e-9)
-    eta_e = np.clip(eta_e, 0.0, 1.0)
-    thermal_extra = (1.0 - eta_s) * (1.0 - eta_t) * (v_s - 1.0)
-    residual = xi_rx - thermal_extra
-    denom_n = (1.0 - eta_e) * eta_t
-    tight = denom_n <= _FEAS_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v_e = np.where(tight, 1.0, 1.0 + residual / np.where(tight, 1.0, denom_n))
-    feasible &= np.where(tight, np.abs(residual) <= 1e-9, v_e >= 1.0 - 1e-9)
-    v_e = np.maximum(v_e, 1.0)
-    return eta_e, v_e, feasible
 
 
 def _nu_pair(tr, root_det):
@@ -414,13 +381,15 @@ def _chi(mode: CvMode, entropy, eta_ae, eta_e, v_e, eta_s, eta_t, v, t_ch, xi_rx
     det_e = refl * v_e * w + eta_e
     gap = refl * (v_e - w)
     tr_e = gap * gap + 2.0 * det_e
-    if mode is CvMode.RR:
+    # CvMode is a str Enum, compared by value: looking up CvMode.RR costs ~2%
+    # of a float evaluation, and the polish makes ~1e5 of them per file.
+    if mode == "rr":
         v_b = t_ch * (v - 1.0) + 1.0 + xi_rx
         p, q, c, v_e_out = _eve_entries(eta_ae, eta_e, v_e, eta_s, eta_t, v, w)
         pp, pq, qq = p * p, p * q, q * q
         tr_c = tr_e - (v_e * pp - 2.0 * c * pq + v_e_out * qq) / v_b
         det_c = det_e - (v_e_out * pp - 2.0 * c * pq + v_e * qq) / v_b
-    elif mode is CvMode.DR_M1:
+    elif mode == "dr-m1":
         det_c = refl * v_e + eta_e
         tr_c = refl * refl * (v_e * v_e + w) + eta_e * refl * v_e * (w + 1.0) + 2.0 * eta_e
     else:
@@ -434,26 +403,39 @@ def _entropy_arrays(nu):
     return thermal_entropy(np.maximum(nu, 1.0))
 
 
-def _rates_on_arrays(mode, scenario_like, obs, eta_s, eta_t):
-    """Signed key rate per (eta_s, eta_t) hypothesis; +inf where infeasible."""
-    eta_ae, v, beta, v_s = scenario_like
-    t_ch = obs.t_channel
-    xi_rx = t_ch * obs.xi
-    eta_e, v_e, feasible = _solve_attack_arrays(eta_ae, eta_s, eta_t, t_ch, xi_rx, v_s)
-    i_ab = mutual_info(obs, v)
-    with np.errstate(invalid="ignore", divide="ignore"):  # infeasible lanes may be unphysical
-        chi = _chi(mode, _entropy_arrays, eta_ae, eta_e, v_e, eta_s, eta_t, v, t_ch, xi_rx)
-    rate = beta * i_ab - chi
-    return np.where(feasible, rate, np.inf), feasible
+def rate_arrays(mode, *, eta_ae, t_eq, xi, eta_d=1.0, nu_el=0.0, v=None, beta=1.0,
+                v_s=1.0, eta_s=0.0, eta_t=1.0):
+    """(rate, chi, feasible) over broadcastable arrays of the :class:`CvScenario`
+    and :class:`ChannelObservation` fields, one lane per hypothesis.
+
+    Each lane is :func:`key_rate_point`, :func:`holevo_bound` and
+    ``solve_attack(...).feasible`` at its fields; rate and chi of an
+    infeasible lane mean nothing.  DR-M2 ignores the bypass split and ``v_s``
+    and is feasible everywhere.  The caller validates the fields (the
+    scenario runner probes both sweep ends).
+    """
+    mode = CvMode(mode)
+    if v is None:
+        v = _DEFAULT_V[mode.value]
+    t_ch = np.minimum(t_eq / eta_d, 1.0)
+    # Infeasible lanes may be unphysical, or overflow on subnormal inputs.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if mode is CvMode.DR_M2:
+            chi = _dr_m2_chi(np, _entropy_arrays, eta_ae, v)
+            feasible = True
+        else:
+            xi_rx = t_ch * xi
+            eta_e, v_e, code = _attack(np, eta_ae, eta_s, eta_t, t_ch, xi_rx, v_s)
+            chi = _chi(mode, _entropy_arrays, eta_ae, eta_e, v_e, eta_s, eta_t, v, t_ch, xi_rx)
+            feasible = code == 0
+        rate = beta * _mutual_info(np, t_ch, xi, eta_d, nu_el, v) - chi
+    return tuple(np.broadcast_arrays(rate, chi, feasible))
 
 
 def _polish_objective(mode, scenario_like, obs):
-    """Float twin of :func:`_rates_on_arrays` for one hypothesis x = (eta_s, eta_t).
-
-    Feasibility follows :func:`solve_attack` (which, unlike the grid, also
-    admits eta_t = 0 when the bypass alone delivers the light) and the rate
-    the same kernel :func:`_chi`, on Python floats; +inf outside the unit
-    square and where no attack reproduces the observation.
+    """The key rate at one hypothesis x = (eta_s, eta_t), on Python floats:
+    the float lane of :func:`rate_arrays`; +inf outside the unit square and
+    where no attack reproduces the observation.
     """
     eta_ae, v, beta, v_s = scenario_like
     t_ch = obs.t_channel
@@ -464,8 +446,8 @@ def _polish_objective(mode, scenario_like, obs):
         eta_s, eta_t = x.tolist()
         if not (0.0 <= eta_s <= 1.0 and 0.0 <= eta_t <= 1.0):
             return math.inf
-        eta_e, v_e, feasible, _ = _attack(eta_ae, eta_s, eta_t, t_ch, xi_rx, v_s)
-        if not feasible:
+        eta_e, v_e, code = _attack(_FLOAT_OPS, eta_ae, eta_s, eta_t, t_ch, xi_rx, v_s)
+        if code:
             return math.inf
         return key - _chi(mode, thermal_entropy_float, eta_ae, eta_e, v_e,
                           eta_s, eta_t, v, t_ch, xi_rx)
@@ -570,7 +552,10 @@ def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode, *,
 
     axis = np.linspace(0.0, 1.0, grid_points)
     ss, tt = np.meshgrid(axis, axis, indexing="ij")
-    rates, feasible = _rates_on_arrays(mode, params, obs, ss, tt)
+    rates, _, feasible = rate_arrays(mode, eta_ae=eta_ae, t_eq=obs.t_eq, xi=obs.xi,
+                                     eta_d=obs.eta_d, nu_el=obs.nu_el, v=v, beta=beta,
+                                     v_s=v_s, eta_s=ss, eta_t=tt)
+    rates = np.where(feasible, rates, np.inf)
     n_feasible = int(np.count_nonzero(feasible))
     if n_feasible == 0:
         raise InfeasibleAttackError(

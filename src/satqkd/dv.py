@@ -48,10 +48,14 @@ import numpy as np
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
 
-# The NumPy functions the kernel calls, for Python floats.  Both branches of
-# ``where`` are evaluated, as in NumPy, so the kernel guards its own domains.
-_FLOAT_OPS = SimpleNamespace(exp=math.exp, expm1=math.expm1, log2=math.log2,
-                             maximum=max, minimum=min,
+# The NumPy functions the kernels (here and in cv.py) call, for Python floats.
+# Both branches of ``where`` are evaluated, as in NumPy, so the kernels guard
+# their own domains.  maximum and minimum return what the builtins max and min
+# return, at a third of their cost: the CV polish calls its attack solver
+# ~1e5 times per file.
+_FLOAT_OPS = SimpleNamespace(exp=math.exp, expm1=math.expm1, log2=math.log2, sqrt=math.sqrt,
+                             maximum=lambda a, b: b if b > a else a,
+                             minimum=lambda a, b: b if b < a else a,
                              where=lambda cond, a, b: a if cond else b)
 
 
@@ -123,15 +127,16 @@ def _entropy(xp, x):
 def _observables(xp, wcp, eta, mu, p_dc, e_d):
     """(gain, qber) of the threshold-detector channel; qber = 1/2 at zero gain.
 
-    Without dark counts 1 - (1 - p_signal) can round below p_signal, which
-    would leave a QBER of about -1e-16 where it is 0: it is clamped to [0, 1/2].
+    The dark-count-only clicks, gain - p_signal, are written as the product
+    (1 - p_signal) p_dc (2 - p_dc): the difference cancels, and without dark
+    counts left a QBER of about +-1e-16 where it is 0.
     """
     p_signal = -xp.expm1(-eta * mu) if wcp else eta
     gain = 1.0 - (1.0 - p_dc) ** 2 * (1.0 - p_signal)
-    eq = e_d * p_signal + 0.5 * (gain - p_signal)
+    eq = e_d * p_signal + 0.5 * (1.0 - p_signal) * p_dc * (2.0 - p_dc)
     seen = gain > 0.0
     qber = xp.where(seen, eq / xp.where(seen, gain, 1.0), 0.5)
-    return gain, xp.minimum(xp.maximum(qber, 0.0), 0.5)
+    return gain, xp.minimum(qber, 0.5)
 
 
 def _photon_terms(xp, wcp, mu, eta_ae):

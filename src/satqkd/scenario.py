@@ -49,8 +49,8 @@ given here or swept):
     detection_efficiency [0.5], optics_transmittance [0.8].
 
 :func:`run_scenario` cuts the sweep into contiguous slices, one per worker;
-each mode's evaluator maps a slice of sweep values to its rows (as arrays
-for the DV and LIDAR modes, point by point for CV).
+each mode's evaluator maps a slice of sweep values to its rows, as arrays
+for every mode but the CV worst case, which runs point by point.
 
 Tables are emitted as CSV or TSV: a ``#``-prefixed metadata block (sorted
 keys), a header row, then one row per sweep point with floats in
@@ -78,11 +78,9 @@ from .cv import (
     ChannelObservation,
     CvScenario,
     InfeasibleAttackError,
-    holevo_bound,
-    holevo_dr_m2_bound,
-    mutual_info,
     worst_case_rate,
 )
+from .cv import rate_arrays as cv_rate_arrays  # dv has a rate_arrays too
 from .dv import DvParams, optimize_mu_arrays, rate_arrays
 from .lidar import (
     BeamParams,
@@ -527,13 +525,6 @@ def load_scenario(path: str) -> ScenarioSpec:
 # Evaluators: columns + slice functions, closed over the fixed parameters
 # ---------------------------------------------------------------------------
 
-def _pointwise(spec: ScenarioSpec, row):
-    """Slice function that evaluates ``row`` at each sweep value in turn."""
-    def rows(values: "list[float]") -> "list[tuple]":
-        return [row({**spec.params, spec.sweep.variable: x}) for x in values]
-    return rows
-
-
 def _clamp(rate: float) -> float:
     return rate if rate > 0.0 else 0.0
 
@@ -567,37 +558,33 @@ def _evaluator_cv_worst(spec: ScenarioSpec):
         return (res.rate, _clamp(res.rate), res.eta_s, res.eta_t,
                 nb, _clamp(nb), 1, 1)
 
-    return columns, _pointwise(spec, row)
+    def rows(values: "list[float]") -> "list[tuple]":
+        return [row({**spec.params, spec.sweep.variable: x}) for x in values]
+
+    return columns, rows
 
 
-def _evaluator_cv_fixed(spec: ScenarioSpec):
+def _evaluator_cv_arrays(spec: ScenarioSpec):
+    # Fixed-hypothesis cv-rr / cv-dr-m1 and cv-dr-m2: one cv.rate_arrays call
+    # per slice.  The cv-dr-m2 bound is feasible everywhere.
     engine_mode = spec.mode[3:]
-    columns = ("k", "k_pos", "chi_eve", "feasible")
+    dr_m2 = engine_mode == "dr-m2"
+    columns = ("eve_bound", "k", "k_pos") if dr_m2 else ("k", "k_pos", "chi_eve", "feasible")
 
-    def row(p: dict) -> tuple:
-        obs = _cv_obs(p)
-        scenario = CvScenario(eta_ae=p["eta_ae"], eta_s=p["eta_s"],
-                              eta_t=p["eta_t"], v=p["v"], beta=p["beta"],
-                              v_s=p["v_s"])
-        try:
-            chi = holevo_bound(scenario, obs, engine_mode)
-        except InfeasibleAttackError:
-            return (None, None, None, 0)
-        rate = scenario.beta * mutual_info(obs, scenario.v) - chi
-        return (rate, _clamp(rate), chi, 1)
+    def rows(values: "list[float]") -> "list[tuple]":
+        p = {**spec.params, spec.sweep.variable: np.array(values, dtype=float)}
+        rate, chi, feasible = cv_rate_arrays(engine_mode, **p)
+        bad = feasible & ~np.isfinite(rate)
+        if bad.any():
+            x = values[int(np.argmax(bad))]
+            raise FloatingPointError(
+                f"non-finite key rate at {spec.sweep.variable}={x!r}")
+        if dr_m2:
+            return [(c, k, _clamp(k)) for c, k in zip(chi.tolist(), rate.tolist())]
+        return [(k, _clamp(k), c, 1) if ok else (None, None, None, 0)
+                for k, c, ok in zip(rate.tolist(), chi.tolist(), feasible.tolist())]
 
-    return columns, _pointwise(spec, row)
-
-
-def _evaluator_cv_dr_m2(spec: ScenarioSpec):
-    columns = ("eve_bound", "k", "k_pos")
-
-    def row(p: dict) -> tuple:
-        chi = holevo_dr_m2_bound(p["eta_ae"], p["v"])
-        rate = p["beta"] * mutual_info(_cv_obs(p), p["v"]) - chi
-        return (chi, rate, _clamp(rate))
-
-    return columns, _pointwise(spec, row)
+    return columns, rows
 
 
 def _evaluator_dv(spec: ScenarioSpec):
@@ -698,12 +685,10 @@ def _evaluator_lidar_elevation(spec: ScenarioSpec):
 
 
 def _build_evaluator(spec: ScenarioSpec):
-    if spec.mode in ("cv-rr", "cv-dr-m1"):
-        if "eta_s" in spec.params or spec.sweep.variable in ("eta_s", "eta_t"):
-            return _evaluator_cv_fixed(spec)
+    if spec.mode in ("cv-rr", "cv-dr-m1") and "grid_points" in spec.params:
         return _evaluator_cv_worst(spec)
-    if spec.mode == "cv-dr-m2":
-        return _evaluator_cv_dr_m2(spec)
+    if spec.mode.startswith("cv-"):
+        return _evaluator_cv_arrays(spec)
     if spec.mode in ("dv-sps", "dv-wcp"):
         return _evaluator_dv(spec)
     if spec.mode == "lidar-profile":

@@ -4,29 +4,29 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
+from dense_gaussian import holevo_dr_m1, holevo_rr, partial_trace
 from satqkd.cv import (
+    _ATTACK_REASONS,
     AttackSolution,
     ChannelObservation,
     CvMode,
     CvScenario,
     InfeasibleAttackError,
+    _attack,
     _polish_objective,
-    _rates_on_arrays,
     build_cm,
     holevo_bound,
-    holevo_dr_m1,
     holevo_dr_m2_bound,
-    holevo_rr,
     key_rate_point,
     max_bypass_transmissivity,
     mutual_info,
+    rate_arrays,
     solve_attack,
     worst_case_rate,
 )
-from satqkd.gaussian import partial_trace
 
 OBS_NOMINAL = ChannelObservation(t_eq=1e-3, xi=0.1)
 
@@ -102,6 +102,10 @@ def test_solve_attack_transparent_cloner_cannot_add_noise():
 
 @settings(deadline=None, max_examples=120)
 @given(feasible_draws)
+# A transparent cloner (eta_e = 1) adds no noise, yet xi = 1e-9 was accepted.
+@example((0.1, 0.0, 0.1, 0.01, 1e-9, 2.0, 1.0))
+# The bypass environment adds 1e-10 of noise over xi = 0, ~2e-10 in xi units.
+@example((1.0, 0.99999, 0.99999, 0.5, 0.0, 2.0, 2.0))
 def test_feasible_attack_reproduces_the_observation(draw):
     eta_ae, eta_s, eta_t, t_eq, xi, v, v_s = draw
     scn = CvScenario(eta_ae, eta_s, eta_t, v, v_s=v_s)
@@ -358,35 +362,120 @@ def test_key_rate_point_scales_with_reconciliation_efficiency():
 
 
 # ---------------------------------------------------------------------------
-# the two call paths of the closed-form kernel
+# the float and array call paths of the attack solver and the kernel
 # ---------------------------------------------------------------------------
 
-# Source variances as the scenarios use them: 300 and 3.5 for reverse
-# reconciliation, 1e7 for DR-M1.  Reverse reconciliation at v ~ 1e7 is
-# conditioned to ~1e-9 bits only, in any arithmetic order.
-kernel_draws = st.tuples(
-    st.one_of(st.tuples(st.just(CvMode.RR), st.sampled_from([3.5, 300.0])),
-              st.tuples(st.just(CvMode.DR_M1), st.sampled_from([3.5, 300.0, 1e7]))),
-    st.floats(min_value=0.05, max_value=1.0),   # eta_ae
-    st.floats(min_value=0.0, max_value=1.0),    # eta_s
-    st.floats(min_value=0.05, max_value=1.0),   # eta_t
-    st.floats(min_value=1e-3, max_value=0.9),   # t_eq
-    st.floats(min_value=0.0, max_value=1.2),    # xi
-    st.floats(min_value=1.0, max_value=2.0),    # v_s
-)
+# One lane per reason, plus the eta_t = 0 and eta_ae = 0 corners where the
+# bypass alone carries the light:
+# (eta_ae, eta_s, eta_t, t_eq, xi, v_s, reason code).
+ATTACK_LANES = [
+    (0.5, 0.0, 1.0, 1e-3, 0.1, 1.0, 0),
+    (0.5, 0.01, 0.5, 1e-3, 0.1, 1.0, 1),
+    (0.0, 0.1, 0.5, 0.5, 0.0, 1.0, 2),
+    (0.1, 0.0, 1.0, 0.5, 0.0, 1.0, 3),
+    (0.3, 0.0, 1.0, 0.3, 0.1, 1.0, 4),
+    (0.3, 0.0, 0.5, 0.05, 0.0, 3.0, 5),
+    (0.5, 0.5, 0.0, 0.25, 0.0, 1.0, 0),
+    (0.0, 0.25, 0.0, 0.25, 0.0, 1.0, 0),
+    (0.5, 0.5, 0.0, 0.25, 0.1, 1.0, 4),
+]
+
+_unit_or_corner = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+attack_lanes = st.lists(st.tuples(
+    _unit_or_corner,                            # eta_ae
+    _unit_or_corner,                            # eta_s
+    _unit_or_corner,                            # eta_t
+    st.floats(min_value=1e-3, max_value=1.0),   # t_eq
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.2)),  # xi
+    st.one_of(st.just(1.0), st.floats(min_value=1.0, max_value=3.0)),  # v_s
+), min_size=1, max_size=12)
+
+
+def test_attack_lanes_reach_every_reason():
+    codes = [code for *_, code in ATTACK_LANES]
+    assert set(codes) == set(range(len(_ATTACK_REASONS)))
+    for *lane, code in ATTACK_LANES:
+        scn = CvScenario(lane[0], lane[1], lane[2], 300.0, v_s=lane[5])
+        assert solve_attack(scn, ChannelObservation(lane[3], lane[4])).reason == \
+            _ATTACK_REASONS[code]
 
 
 @settings(deadline=None, max_examples=200)
-@given(kernel_draws)
-def test_polish_objective_matches_the_grid_kernel(draw):
-    (mode, v), eta_ae, eta_s, eta_t, t_eq, xi, v_s = draw
-    obs = ChannelObservation(t_eq, xi)
-    params = (eta_ae, v, 0.95, v_s)
-    grid, feasible = _rates_on_arrays(mode, params, obs,
-                                      np.array([eta_s]), np.array([eta_t]))
-    assume(feasible[0])
-    polish = _polish_objective(mode, params, obs)(np.array([eta_s, eta_t]))
-    assert polish == pytest.approx(float(grid[0]), abs=1e-12)
+@given(attack_lanes)
+@example([lane[:-1] for lane in ATTACK_LANES])
+def test_array_attack_codes_give_solve_attacks_reasons(lanes):
+    eta_ae, eta_s, eta_t, t_eq, xi, v_s = np.array(lanes).T
+    # Guarded domains only; a subnormal eta_ae * eta_t sends eta_e to inf.
+    with np.errstate(divide="raise", invalid="raise", over="ignore"):
+        eta_e, v_e, code = _attack(np, eta_ae, eta_s, eta_t, t_eq, t_eq * xi, v_s)
+    for i, lane in enumerate(lanes):
+        sol = solve_attack(CvScenario(*lane[:3], 300.0, v_s=lane[5]),
+                           ChannelObservation(*lane[3:5]))
+        assert (_ATTACK_REASONS[code[i]], code[i] == 0) == (sol.reason, sol.feasible)
+        if sol.feasible:
+            assert (eta_e[i], v_e[i]) == (sol.eta_e, sol.v_e)
+
+
+# Every sweepable field of each mode, over the ranges the scenarios use.
+SLICE_FIELDS = {
+    "eta_ae": st.floats(min_value=0.0, max_value=1.0),
+    "eta_s": st.floats(min_value=0.0, max_value=1.0),
+    "eta_t": st.floats(min_value=0.0, max_value=1.0),
+    "t_eq": st.floats(min_value=1e-3, max_value=0.9),
+    "xi": st.floats(min_value=0.0, max_value=1.2),
+    "eta_d": st.floats(min_value=0.9, max_value=1.0),
+    "nu_el": st.floats(min_value=0.0, max_value=0.2),
+    "beta": st.floats(min_value=0.5, max_value=1.0),
+    "v_s": st.floats(min_value=1.0, max_value=2.0),
+}
+_DR_M2_FIELDS = ("eta_ae", "t_eq", "xi", "eta_d", "nu_el", "v", "beta")
+_KERNEL_FIELDS = _DR_M2_FIELDS + ("v_s", "eta_s", "eta_t")
+
+# Source variances as the scenarios use them: 300 and 3.5 for reverse
+# reconciliation, 1e7 for the direct bounds.  Reverse reconciliation at
+# v ~ 1e7 is conditioned to ~1e-9 bits only, in any arithmetic order.
+slice_modes = st.one_of(
+    st.tuples(st.just("rr"), st.sampled_from([3.5, 300.0]), st.sampled_from(_KERNEL_FIELDS)),
+    st.tuples(st.just("dr-m1"), st.sampled_from([3.5, 300.0, 1e7]),
+              st.sampled_from(_KERNEL_FIELDS)),
+    st.tuples(st.just("dr-m2"), st.sampled_from([3.5, 300.0, 1e7]),
+              st.sampled_from(_DR_M2_FIELDS)),
+)
+
+
+@st.composite
+def cv_slices(draw):
+    """(mode, fixed fields, swept field, its values) of one scenario slice."""
+    mode, v, swept = draw(slice_modes)
+    fields = draw(st.fixed_dictionaries(SLICE_FIELDS))
+    fields["v"] = v
+    values = st.floats(min_value=1.5, max_value=v) if swept == "v" else SLICE_FIELDS[swept]
+    return mode, fields, swept, draw(st.lists(values, min_size=1, max_size=8))
+
+
+@settings(deadline=None, max_examples=300)
+@given(cv_slices())
+def test_slice_rows_equal_the_single_hypothesis_functions(draw):
+    mode, fields, swept, values = draw
+    keys = _DR_M2_FIELDS if mode == "dr-m2" else _KERNEL_FIELDS
+    rate, chi, feasible = rate_arrays(mode, **{**{k: fields[k] for k in keys},
+                                               swept: np.array(values)})
+    assert rate.shape == chi.shape == feasible.shape == (len(values),)
+    for i, x in enumerate(values):
+        p = {**fields, swept: x}
+        scn = CvScenario(p["eta_ae"], p["eta_s"], p["eta_t"], p["v"], p["beta"], p["v_s"])
+        obs = ChannelObservation(p["t_eq"], p["xi"], p["eta_d"], p["nu_el"])
+        want = mode == "dr-m2" or solve_attack(scn, obs).feasible
+        assert feasible[i] == want
+        if not want:
+            continue
+        assert rate[i] == pytest.approx(key_rate_point(scn, obs, mode), rel=1e-12, abs=1e-14)
+        assert chi[i] == pytest.approx(holevo_bound(scn, obs, mode), rel=1e-12, abs=1e-14)
+        if mode != "dr-m2":  # the polish objective is the float lane
+            objective = _polish_objective(CvMode(mode), (scn.eta_ae, scn.v, scn.beta, scn.v_s),
+                                          obs)
+            assert objective(np.array([scn.eta_s, scn.eta_t])) == \
+                key_rate_point(scn, obs, mode)
 
 
 @settings(deadline=None, max_examples=150)
@@ -400,10 +489,9 @@ def test_rr_kernel_matches_the_dense_holevo_bound(draw):
     obs = ChannelObservation(t_eq, xi)
     sol = solve_attack(scn, obs)
     assume(sol.feasible and sol.v_e < 1e3)
-    rate, _ = _rates_on_arrays(CvMode.RR, (eta_ae, v, 1.0, v_s), obs,
-                               np.array([eta_s]), np.array([eta_t]))
-    chi = mutual_info(obs, v) - float(rate[0])
-    assert chi == pytest.approx(holevo_rr(build_cm(scn, sol)), abs=1e-9)
+    _, chi, _ = rate_arrays("rr", eta_ae=eta_ae, t_eq=t_eq, xi=xi, v=v, v_s=v_s,
+                            eta_s=np.array([eta_s]), eta_t=np.array([eta_t]))
+    assert float(chi[0]) == pytest.approx(holevo_rr(build_cm(scn, sol)), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -228,13 +228,13 @@ BRANCH_LANES = [
     ("sps", dict(BASE, e_d=0.5, eta_ae=0.5), "QBER at its cap of 1/2"),
     ("sps", dict(BRIGHT, p_dc=0.0, e_d=0.0, eta_ae=0.7), "h(0)"),
     ("sps", dict(BRIGHT, eta_ch=0.1, p_dc=0.0, e_d=0.0, eta_ae=0.5),
-     "QBER rounded to -1.4e-16, clamped to 0"),
+     "QBER 0 without dark counts, where gain - p_signal rounded to -1.4e-17"),
     ("sps", dict(BASE, eta_ae=1e-6), "restricted arm"),
     ("sps", dict(BASE, eta_ae=0.5), "all-single arm"),
     # At eta_ae = 1 the three bounds coincide; this one wins by rounding.
-    ("sps", dict(eta_ch=0.007927489429502102, eta_d=0.4804184990778926,
-                 p_dc=1.4788292326570413e-09, e_d=0.02485665529991279,
-                 f=1.335312207346815, q=0.6824705604168251, eta_ae=1.0),
+    ("sps", dict(eta_ch=0.00824527590299888, eta_d=0.20175196890522462,
+                 p_dc=0.00013868837508583415, e_d=0.056836009960701706,
+                 f=1.391228190495662, q=0.5409031734902955, eta_ae=1.0),
      "no-S0 arm"),
 ]
 
@@ -297,6 +297,16 @@ def _batch(source):
 @given(st.sampled_from(("sps", "wcp")), st.lists(lane_fields, min_size=1, max_size=12))
 @example("wcp", _batch("wcp"))
 @example("sps", _batch("sps"))
+# Without dark counts or misalignment the rate is 0; as a difference the
+# dark-count clicks came out at -1.6e-15 on arrays and 0 on floats.
+@example("wcp", [dict(eta_ch=0.007905526569734594, eta_d=0.9161509999678396, p_dc=0.0,
+                      e_d=0.0, f=1.6887732995736144, q=0.6002746799616322, eta_ae=1.0,
+                      mu=56.67150365529856)])
+# A bright pulse (p_signal ~ 1) with dark counts: the difference cancelled to
+# 7e-9 relative, differently on floats and arrays.
+@example("wcp", [dict(eta_ch=0.0022868403035724433, eta_d=1.0, p_dc=2.063321225481381e-08,
+                      e_d=0.0, f=1.0446676572153766, q=0.9827490585368744,
+                      eta_ae=0.03427185373796296, mu=480.3786979018513)])
 def test_array_kernel_matches_the_float_wrappers_lane_by_lane(source, lanes):
     arrays = {key: np.array([lane[key] for lane in lanes]) for key in lanes[0]}
     with np.errstate(divide="raise", invalid="raise"):  # guarded domains only

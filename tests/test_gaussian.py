@@ -1,13 +1,12 @@
-"""Covariance-matrix toolbox: spectra, entropies, networks, conditioning."""
+"""Thermal entropy, and the dense covariance-matrix toolbox the CV kernel is
+checked against: spectra, entropies, networks, conditioning."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from satqkd.gaussian import (
-    SYMPLECTIC_FLOOR_TOL,
-    UnphysicalStateError,
+from dense_gaussian import (
     apply_symplectic,
     beamsplitter_symplectic,
     condition_on_homodyne,
@@ -17,11 +16,11 @@ from satqkd.gaussian import (
     symplectic_eigenvalues,
     symplectic_form,
     thermal_cm,
-    thermal_entropy,
     two_mode_squeezed_cm,
     vacuum_cm,
     von_neumann_entropy,
 )
+from satqkd.gaussian import SYMPLECTIC_FLOOR_TOL, UnphysicalStateError, thermal_entropy
 
 RNG = np.random.default_rng(20240817)
 

@@ -622,10 +622,28 @@ def test_read_table_needs_a_header():
         read_table(io.StringIO("# only = metadata\n"))
 
 
+# A fixed-hypothesis sweep of t_eq, so the mutual information runs on arrays.
+CV_FIXED_T_EQ = """\
+    [scenario]
+    mode = cv-rr
+    [sweep]
+    variable = t_eq
+    start = 5e-4
+    stop = 2e-3
+    points = 10
+    [params]
+    eta_ae = 0.05
+    xi = 0.1
+    eta_s = 0.05
+    eta_t = 0.99
+"""
+
 # One file per kind of evaluator; no sweep length divides evenly by 4.
 WORKER_COUNT_CASES = {
     "cv-rr-worst": QUICK_WORST.replace("points = 4", "points = 5"),
     "cv-rr-fixed": CV_FIXED_BASE.replace("points = 2", "points = 6"),
+    "cv-rr-fixed-t-eq": CV_FIXED_T_EQ,
+    "cv-dr-m2": QUICK_DR_M2.replace("points = 5", "points = 7"),
     "dv-wcp": DV_BASE.replace("points = 2", "points = 7"),
     # mu optimised on both sides of the no-key threshold near 8.1e-4
     "dv-wcp-no-key": DV_BASE.replace("points = 2", "points = 11")
@@ -748,6 +766,30 @@ def test_cli_runtime_failure_is_exit_two(tmp_path, capsys):
     """)
     assert cli.main(["run", path]) == 2
     assert "runtime error:" in capsys.readouterr().err
+
+
+def test_cli_non_finite_rate_is_exit_two_with_no_nan_cell(tmp_path, capsys):
+    # The RR conditional invariants cancel here: the float kernel meets a
+    # complex square root and the array kernel a NaN on a feasible lane.
+    path = write(tmp_path, """\
+        [scenario]
+        mode = cv-rr
+        [sweep]
+        variable = eta_s
+        start = 0.9132691945948185
+        stop = 0.9132691945948185
+        points = 3
+        [params]
+        eta_ae = 1e-3
+        eta_t = 0.2
+        t_eq = 0.7542489243990338
+        xi = 0.39860267961198476
+        v = 3.5
+    """)
+    assert cli.main(["run", path]) == 2
+    out, err = capsys.readouterr()
+    assert "nan" not in out.lower()
+    assert "runtime error:" in err
 
 
 def test_cli_missing_file_is_exit_three(tmp_path, capsys):
