@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import __version__
-from .scenario import MODES, ScenarioError, emit, load_scenario, run_scenario
+from .scenario import ScenarioError, emit, load_scenario, run_scenario
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 1

@@ -114,6 +114,17 @@ class RadarParams:
     aperture_efficiency: float = 0.6
     antenna_temperature: float = RADAR_ANTENNA_TEMP  # K
 
+    def __post_init__(self):
+        for name in ("transmit_power", "antenna_radius", "wavelength", "bandwidth",
+                     "antenna_temperature", "loss_factor"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.noise_figure >= 1.0:
+            raise ValueError(f"noise_figure must be >= 1 (0 dB), got {self.noise_figure}")
+        if not 0.0 < self.aperture_efficiency <= 1.0:
+            raise ValueError(f"aperture_efficiency must lie in (0, 1], got "
+                             f"{self.aperture_efficiency}")
+
     @property
     def gain(self) -> float:
         """G = 4 pi (E_a pi r^2) / lambda^2 — aperture gain."""

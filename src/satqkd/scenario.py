@@ -32,8 +32,8 @@ given here or swept):
     default], beta [1].
 ``dv-sps`` / ``dv-wcp``
     eta_ch, eta_d, p_dc, e_d, f, q, eta_ae (all req); ``dv-wcp`` also takes
-    mu — when absent and not swept, the intensity is optimised per point
-    and reported in a ``mu_opt`` column.
+    mu, given or swept — when it is neither, the intensity is optimised per
+    point and reported in a ``mu_opt`` column.
 ``lidar-profile``  (sweep variable: z, metres from the satellite)
     total_range [5e5], r_a [0.15], r_b [0.5], waist [0.15], wavelength
     [8e-7], quality [3], bound_source [dual-lidar].  With ``dual-lidar``:
@@ -48,8 +48,16 @@ given here or swept):
     [201] (<= MAX_PROFILE_POINTS), extinction_coefficient [0.7],
     detection_efficiency [0.5], optics_transmittance [0.8].
 
+Each mode is declared once, in ``_MODE_TABLE``, as one kind
+(:class:`_Kind`) per way its optional keys change what is evaluated: the
+worst case or a fixed bypass, a given or an optimised mu, a LIDAR or a
+radar bound.  A kind holds the key table, the checks no engine constructor
+makes, the builder of the engine objects and the evaluator.  The loader
+picks the kind once and builds the engine objects at both sweep ends, so
+every range their constructors check fails at load, not mid-run.
+
 :func:`run_scenario` cuts the sweep into contiguous slices, one per worker;
-each mode's evaluator maps a slice of sweep values to its rows, as arrays
+the kind's evaluator maps a slice of sweep values to its rows, as arrays
 for every mode but the CV worst case, which runs point by point.
 
 Tables are emitted as CSV or TSV: a ``#``-prefixed metadata block (sorted
@@ -66,9 +74,11 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser, Error as _ConfigParserError
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -95,9 +105,6 @@ from .lidar import (
     reflectivity_threshold,
     sky_background_power,
 )
-
-MODES = ("cv-rr", "cv-dr-m1", "cv-dr-m2", "dv-sps", "dv-wcp",
-         "lidar-profile", "lidar-elevation")
 
 #: metadata keys that legitimately differ between runs of the same file;
 #: emit() skips them so output bytes depend on the scenario alone.
@@ -150,6 +157,8 @@ class ScenarioSpec:
     sweep: SweepSpec
     params: dict
     path: str = ""
+    #: how the mode is evaluated, picked once by the loader (see _MODE_TABLE)
+    kind: "_Kind | None" = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -199,7 +208,8 @@ _REQUIRED = object()  # sentinel default: the key must be supplied or swept
 
 
 def _resolve_keys(keyspec: dict, raw: dict, sweep_var: str, mode: str) -> dict:
-    """Apply a ``{key: (parser, default)}`` table to the raw [params] strings."""
+    """Apply a ``{key: (parser, default)}`` table to the raw [params] strings;
+    a callable default is computed from the mode and the resolved values."""
     unknown = sorted(set(raw) - set(keyspec))
     if unknown:
         raise ScenarioError(
@@ -218,6 +228,9 @@ def _resolve_keys(keyspec: dict, raw: dict, sweep_var: str, mode: str) -> dict:
                 f"mode {mode} requires [params] key {key!r} (or sweep it)")
         else:
             out[key] = default
+    for key, value in out.items():
+        if callable(value):
+            out[key] = value(mode, out)
     return out
 
 
@@ -228,66 +241,24 @@ def _check_count(value: int, cap: int, where: str) -> None:
         raise ScenarioError(f"{where} must be <= {cap}, got {value}")
 
 
-def _check_sweepable(sweep_var: str, allowed: "tuple[str, ...]", mode: str) -> None:
-    if sweep_var not in allowed:
-        raise ScenarioError(
-            f"{sweep_var!r} is not a sweepable parameter of mode {mode}; "
-            f"choose one of: {', '.join(allowed)}")
+def _positive(p: dict, key: str) -> None:
+    if not p[key] > 0.0:
+        raise ScenarioError(f"[params] {key} must be > 0, got {p[key]}")
 
 
 # ---------------------------------------------------------------------------
-# Per-mode key tables and validation
+# Key tables, and the checks no engine constructor makes
 # ---------------------------------------------------------------------------
 
-_CV_OBS_KEYS = {
+_CV_KEYS = {
     "t_eq": (_float, _REQUIRED),
     "xi": (_float, _REQUIRED),
     "eta_d": (_float, 1.0),
     "nu_el": (_float, 0.0),
-}
-
-_CV_SOURCE_KEYS = {
     "eta_ae": (_float, _REQUIRED),
-    "v": (_float, None),  # None -> engine default for the mode
+    "v": (_float, lambda mode, p: _DEFAULT_V[mode[3:]]),  # "cv-rr" -> "rr"
     "beta": (_float, 1.0),
 }
-
-
-def _resolve_cv(mode: str, sweep: SweepSpec, raw: dict) -> dict:
-    engine_mode = mode[3:]  # "cv-rr" -> "rr"
-    if engine_mode == "dr-m2":
-        keyspec = {**_CV_OBS_KEYS, **_CV_SOURCE_KEYS}
-        _check_sweepable(sweep.variable,
-                         ("eta_ae", "t_eq", "xi", "eta_d", "nu_el", "v", "beta"),
-                         mode)
-        params = _resolve_keys(keyspec, raw, sweep.variable, mode)
-    else:
-        fixed_point = ("eta_s" in raw or "eta_t" in raw
-                       or sweep.variable in ("eta_s", "eta_t"))
-        keyspec = {**_CV_OBS_KEYS, **_CV_SOURCE_KEYS, "v_s": (_float, 1.0)}
-        if fixed_point:
-            keyspec.update(eta_s=(_float, _REQUIRED), eta_t=(_float, _REQUIRED))
-            sweepable = ("eta_ae", "t_eq", "xi", "eta_d", "nu_el", "v", "beta",
-                         "v_s", "eta_s", "eta_t")
-        else:
-            keyspec.update(grid_points=(_int, 101), refine=(_bool, True))
-            sweepable = ("eta_ae", "t_eq", "xi", "eta_d", "nu_el", "v", "beta",
-                         "v_s")
-        _check_sweepable(sweep.variable, sweepable, mode)
-        params = _resolve_keys(keyspec, raw, sweep.variable, mode)
-        if not fixed_point:
-            _check_count(params["grid_points"], MAX_GRID_POINTS, "[params] grid_points")
-    if params.get("v") is None:
-        params["v"] = _DEFAULT_V[engine_mode]
-    return params
-
-
-def _probe_cv(mode: str, p: dict) -> None:
-    _cv_obs(p)
-    CvScenario(eta_ae=p["eta_ae"], eta_s=p.get("eta_s", 0.0),
-               eta_t=p.get("eta_t", 1.0), v=p["v"], beta=p["beta"],
-               v_s=p.get("v_s", 1.0))
-
 
 _DV_KEYS = {
     "eta_ch": (_float, _REQUIRED),
@@ -299,38 +270,21 @@ _DV_KEYS = {
     "eta_ae": (_float, _REQUIRED),
 }
 
-
-def _resolve_dv(mode: str, sweep: SweepSpec, raw: dict) -> dict:
-    keyspec = dict(_DV_KEYS)
-    sweepable = tuple(_DV_KEYS)
-    if mode == "dv-wcp":
-        keyspec["mu"] = (_float, None)  # None -> optimise per point
-        sweepable += ("mu",)
-    _check_sweepable(sweep.variable, sweepable, mode)
-    params = _resolve_keys(keyspec, raw, sweep.variable, mode)
-    if mode == "dv-wcp" and params.get("mu") is None:
-        del params["mu"]
-    return params
-
-
-def _probe_dv(mode: str, p: dict) -> None:
-    DvParams(source="wcp" if mode == "dv-wcp" else "sps", mu=p.get("mu", 1.0),
-             **{key: p[key] for key in _DV_KEYS})
-
-
 _BEAM_KEYS = {
     "waist": (_float, 0.15),
     "wavelength": (_float, 800e-9),
     "quality": (_float, 3.0),
 }
 
+_APERTURE_KEYS = {"r_a": (_float, 0.15), "r_b": (_float, 0.5)}
+
 _DUAL_LIDAR_KEYS = {
     "power_sat": (_float, 1.0),
     "power_ground": (_float, 1.0),
     "reflectivity": (_float, 0.1),
     "loss_factor": (_float, 0.25),
-    "noise_floor_sat": (_float, None),     # None -> moonlight background
-    "noise_floor_ground": (_float, None),  # None -> night-sky background
+    "noise_floor_sat": (_float, lambda mode, p: moonlight_background_power(p["r_a"])),
+    "noise_floor_ground": (_float, lambda mode, p: sky_background_power(p["r_b"])),
 }
 
 _RADAR_KEYS = {
@@ -345,110 +299,311 @@ _RADAR_KEYS = {
 }
 
 
-def _fill_noise_floors(params: dict) -> None:
-    if params.get("noise_floor_sat") is None:
-        params["noise_floor_sat"] = moonlight_background_power(params["r_a"])
-    if params.get("noise_floor_ground") is None:
-        params["noise_floor_ground"] = sky_background_power(params["r_b"])
+def _check_grid(sweep: SweepSpec, p: dict) -> None:
+    _check_count(p["grid_points"], MAX_GRID_POINTS, "[params] grid_points")
 
 
-def _resolve_lidar_profile(mode: str, sweep: SweepSpec, raw: dict) -> dict:
-    _check_sweepable(sweep.variable, ("z",), mode)
-    source = _str(raw.get("bound_source", "dual-lidar"), "[params] bound_source")
-    if source not in ("dual-lidar", "radar-ground"):
-        raise ScenarioError(
-            f"[params] bound_source must be 'dual-lidar' or 'radar-ground', "
-            f"got {source!r}")
-    keyspec = {
-        "total_range": (_float, 500e3),
-        "r_a": (_float, 0.15),
-        "r_b": (_float, 0.5),
-        "bound_source": (_str, source),
-        **_BEAM_KEYS,
-        **(_DUAL_LIDAR_KEYS if source == "dual-lidar" else _RADAR_KEYS),
-    }
-    params = _resolve_keys(keyspec, raw, sweep.variable, mode)
-    if source == "dual-lidar":
-        _fill_noise_floors(params)
+def _check_profile(sweep: SweepSpec, p: dict) -> None:
+    # r_a sets only the satellite LIDAR's default noise floor.
+    _positive(p, "r_a")
     if not 0.0 <= min(sweep.start, sweep.stop) \
-            or not max(sweep.start, sweep.stop) <= params["total_range"]:
+            or not max(sweep.start, sweep.stop) <= p["total_range"]:
         raise ScenarioError(
             "[sweep] z must stay within [0, total_range] "
-            f"= [0, {params['total_range']}]")
-    return params
+            f"= [0, {p['total_range']}]")
 
 
-def _resolve_lidar_elevation(mode: str, sweep: SweepSpec, raw: dict) -> dict:
-    _check_sweepable(sweep.variable, ("zenith_deg",), mode)
-    keyspec = {
-        "altitude": (_float, 500e3),
-        "r_a": (_float, 0.15),
-        "r_b": (_float, 0.5),
-        **_BEAM_KEYS,
-        **_DUAL_LIDAR_KEYS,
-        "profile_points": (_int, 201),
-        "extinction_coefficient": (_float, 0.7),
-        "detection_efficiency": (_float, 0.5),
-        "optics_transmittance": (_float, 0.8),
-    }
-    params = _resolve_keys(keyspec, raw, sweep.variable, mode)
-    _fill_noise_floors(params)
+def _check_elevation(sweep: SweepSpec, p: dict) -> None:
+    # The engine's sweep builds each angle's link from these.
+    for key in ("r_a", "altitude"):
+        _positive(p, key)
+    for key in ("detection_efficiency", "optics_transmittance"):
+        if not 0.0 < p[key] <= 1.0:
+            raise ScenarioError(f"[params] {key} must lie in (0, 1], got {p[key]}")
+    if p["extinction_coefficient"] < 0.0:
+        raise ScenarioError("[params] extinction_coefficient must be >= 0, "
+                            f"got {p['extinction_coefficient']}")
     if not (0.0 <= sweep.start < 90.0 and 0.0 <= sweep.stop < 90.0):
         raise ScenarioError("[sweep] zenith_deg must stay within [0, 90)")
-    _check_count(params["profile_points"], MAX_PROFILE_POINTS, "[params] profile_points")
-    return params
+    _check_count(p["profile_points"], MAX_PROFILE_POINTS, "[params] profile_points")
 
 
-def _positive(p: dict, key: str) -> None:
-    if not p[key] > 0.0:
-        raise ScenarioError(f"[params] {key} must be > 0, got {p[key]}")
+# ---------------------------------------------------------------------------
+# Engine objects at one point: their constructors check every range they hold
+# ---------------------------------------------------------------------------
+
+def _cv_objects(p: dict) -> "tuple[ChannelObservation, CvScenario]":
+    """The observation and the hypothesis; the worst case's is the no-bypass one."""
+    return (ChannelObservation(t_eq=p["t_eq"], xi=p["xi"], eta_d=p["eta_d"],
+                               nu_el=p["nu_el"]),
+            CvScenario(eta_ae=p["eta_ae"], eta_s=p.get("eta_s", 0.0),
+                       eta_t=p.get("eta_t", 1.0), v=p["v"], beta=p["beta"],
+                       v_s=p.get("v_s", 1.0)))
 
 
-def _probe_lidar(mode: str, p: dict) -> None:
-    for key in ("r_a", "r_b", "waist", "wavelength"):
-        _positive(p, key)
-    if p["quality"] < 1.0:
-        raise ScenarioError(f"[params] quality must be >= 1, got {p['quality']}")
-    if mode == "lidar-profile":
-        _positive(p, "total_range")
-        extra = (tuple(_DUAL_LIDAR_KEYS) if p["bound_source"] == "dual-lidar" else
-                 ("radar_power", "radar_antenna_radius", "radar_wavelength",
-                  "radar_bandwidth", "radar_aperture_efficiency",
-                  "radar_antenna_temp"))
+def _dv_params(source: str, p: dict) -> DvParams:
+    return DvParams(source=source, mu=p.get("mu", 1.0),
+                    **{key: p[key] for key in _DV_KEYS})
+
+
+def _beam(p: dict) -> BeamParams:
+    return BeamParams(**{key: p[key] for key in _BEAM_KEYS})
+
+
+def _dual_lidars(p: dict, beam: BeamParams) -> "tuple[LidarConfig, LidarConfig]":
+    """The satellite LIDAR, which shares the communication beam, and the
+    ground LIDAR, whose beam has the ground aperture as its waist."""
+    shared = dict(loss_factor=p["loss_factor"], reflectivity=p["reflectivity"])
+    return (LidarConfig(transmit_power=p["power_sat"], noise_floor=p["noise_floor_sat"],
+                        beam=beam, **shared),
+            LidarConfig(transmit_power=p["power_ground"],
+                        noise_floor=p["noise_floor_ground"],
+                        beam=replace(beam, waist=p["r_b"]), **shared))
+
+
+def _linear(p: dict, key: str) -> float:
+    """A [params] value in dB as a linear factor."""
+    try:
+        return 10.0 ** (p[key] / 10.0)
+    except OverflowError:
+        raise ScenarioError(f"[params] {key} = {p[key]} dB overflows a float") from None
+
+
+def _radar(p: dict, beam: BeamParams) -> RadarParams:
+    return RadarParams(
+        transmit_power=p["radar_power"],
+        antenna_radius=p["radar_antenna_radius"],
+        wavelength=p["radar_wavelength"],
+        bandwidth=p["radar_bandwidth"],
+        noise_figure=_linear(p, "radar_noise_figure_db"),
+        loss_factor=_linear(p, "radar_loss_db"),
+        aperture_efficiency=p["radar_aperture_efficiency"],
+        antenna_temperature=p["radar_antenna_temp"])
+
+
+def _profile_objects(monitor: Callable, p: dict) -> tuple:
+    """The communication beam, the link, and its monitor (the LIDARs or the radar)."""
+    beam = _beam(p)
+    return beam, LinkGeometry(total_range=p["total_range"], r_b=p["r_b"]), monitor(p, beam)
+
+
+def _elevation_objects(p: dict) -> tuple:
+    beam = _beam(p)
+    return (beam, *_dual_lidars(p, beam))
+
+
+# ---------------------------------------------------------------------------
+# Evaluators: columns + slice functions, closed over the fixed parameters
+# ---------------------------------------------------------------------------
+
+def _clamp(rate: float) -> float:
+    return rate if rate > 0.0 else 0.0
+
+
+def _clamp_array(rate: np.ndarray) -> np.ndarray:
+    return np.where(rate > 0.0, rate, 0.0)
+
+
+def _evaluator_cv_worst(spec: ScenarioSpec):
+    engine_mode = spec.mode[3:]
+    columns = ("k_worst", "k_worst_pos", "argmin_eta_s", "argmin_eta_t",
+               "k_nobypass", "k_nobypass_pos", "feasible", "feasible_nobypass")
+
+    def row(p: dict) -> tuple:
+        obs, hyp = spec.kind.build(p)
+        try:
+            res = worst_case_rate(hyp.eta_ae, obs, engine_mode,
+                                  grid_points=p["grid_points"], v=hyp.v,
+                                  beta=hyp.beta, v_s=hyp.v_s, refine=p["refine"])
+        except InfeasibleAttackError:
+            return (None, None, None, None, None, None, 0, 0)
+        nb = res.rate_nobypass
+        if nb is None:
+            return (res.rate, _clamp(res.rate), res.eta_s, res.eta_t,
+                    None, None, 1, 0)
+        return (res.rate, _clamp(res.rate), res.eta_s, res.eta_t,
+                nb, _clamp(nb), 1, 1)
+
+    def rows(values: "list[float]") -> "list[tuple]":
+        return [row({**spec.params, spec.sweep.variable: x}) for x in values]
+
+    return columns, rows
+
+
+def _evaluator_cv_arrays(spec: ScenarioSpec):
+    # Fixed-hypothesis cv-rr / cv-dr-m1 and cv-dr-m2: one cv.rate_arrays call
+    # per slice.  The cv-dr-m2 bound is feasible everywhere.
+    engine_mode = spec.mode[3:]
+    dr_m2 = engine_mode == "dr-m2"
+    columns = ("eve_bound", "k", "k_pos") if dr_m2 else ("k", "k_pos", "chi_eve", "feasible")
+
+    def rows(values: "list[float]") -> "list[tuple]":
+        p = {**spec.params, spec.sweep.variable: np.array(values, dtype=float)}
+        rate, chi, feasible = cv_rate_arrays(engine_mode, **p)
+        bad = feasible & ~np.isfinite(rate)
+        if bad.any():
+            x = values[int(np.argmax(bad))]
+            raise FloatingPointError(
+                f"non-finite key rate at {spec.sweep.variable}={x!r}")
+        if dr_m2:
+            return [(c, k, _clamp(k)) for c, k in zip(chi.tolist(), rate.tolist())]
+        return [(k, _clamp(k), c, 1) if ok else (None, None, None, 0)
+                for k, c, ok in zip(rate.tolist(), chi.tolist(), feasible.tolist())]
+
+    return columns, rows
+
+
+def _evaluator_dv(spec: ScenarioSpec, *, optimise: bool = False):
+    # dv-wcp evaluates mu as given or swept, or, in its kind without mu,
+    # optimises it per point and reports the optimum.  Every DV table ends
+    # with the single-photon rate.
+    wcp = spec.mode == "dv-wcp"
+    columns = (("rate_wcp", "rate_wcp_pos") if wcp else ()) \
+        + (("mu_opt",) if optimise else ()) + ("rate_sps", "rate_sps_pos")
+
+    def rows(values: "list[float]") -> "list[tuple]":
+        p = {**spec.params, spec.sweep.variable: np.array(values, dtype=float)}
+        link = {key: p[key] for key in _DV_KEYS}
+        cells = []
+        if optimise:
+            mu, rate = optimize_mu_arrays(**link)
+            cells += [rate, _clamp_array(rate), mu]
+        elif wcp:
+            rate = rate_arrays("wcp", mu=p["mu"], **link)
+            cells += [rate, _clamp_array(rate)]
+        sps = rate_arrays("sps", **link)
+        cells += [sps, _clamp_array(sps)]
+        return list(zip(*(np.broadcast_to(c, (len(values),)).tolist() for c in cells)))
+
+    return columns, rows
+
+
+def _evaluator_lidar_profile(spec: ScenarioSpec):
+    beam, geom, monitor = spec.kind.build(spec.params)
+    total = geom.total_range
+    if isinstance(monitor, RadarParams):
+        columns = ("r_e", "eta_ae", "eta_eb")
+
+        def cells(z):
+            return eve_efficiencies(z, lambda zi: radar_size_bound(total - zi, monitor),
+                                    geom, beam)
     else:
-        _positive(p, "altitude")
-        extra = tuple(_DUAL_LIDAR_KEYS)
-        for key in ("detection_efficiency", "optics_transmittance"):
-            if not 0.0 < p[key] <= 1.0:
-                raise ScenarioError(f"[params] {key} must lie in (0, 1], got {p[key]}")
-        if p["extinction_coefficient"] < 0.0:
-            raise ScenarioError("[params] extinction_coefficient must be >= 0, "
-                                f"got {p['extinction_coefficient']}")
-    for key in extra:
-        _positive(p, key)
-    if "reflectivity" in p and p["reflectivity"] > 1.0:
-        raise ScenarioError(f"[params] reflectivity must be <= 1, got {p['reflectivity']}")
+        columns = ("r_e", "eta_ae", "eta_eb", "alpha_min_sat", "alpha_min_ground")
+        cfg_sat, cfg_ground = monitor
+
+        def cells(z):
+            return eve_efficiencies(
+                z, lambda zi: dual_lidar_size_bound(zi, geom, cfg_sat, cfg_ground),
+                geom, beam) + (reflectivity_threshold(z, cfg_sat),
+                               reflectivity_threshold(total - z, cfg_ground))
+
+    def rows(values: "list[float]") -> "list[tuple]":
+        return list(zip(*(c.tolist() for c in cells(np.array(values, dtype=float)))))
+
+    return columns, rows
 
 
-_RESOLVERS = {
-    "cv-rr": _resolve_cv,
-    "cv-dr-m1": _resolve_cv,
-    "cv-dr-m2": _resolve_cv,
-    "dv-sps": _resolve_dv,
-    "dv-wcp": _resolve_dv,
-    "lidar-profile": _resolve_lidar_profile,
-    "lidar-elevation": _resolve_lidar_elevation,
+def _evaluator_lidar_elevation(spec: ScenarioSpec):
+    p = spec.params
+    beam, cfg_sat, cfg_ground = spec.kind.build(p)
+    columns = ("max_eta_ae", "max_eta_eb", "eta_ab_diffraction",
+               "eta_ab_effective")
+
+    def rows(values: "list[float]") -> "list[tuple]":
+        out = elevation_sweep(
+            p["altitude"], cfg_sat, cfg_ground, np.radians(values),
+            r_b=p["r_b"], comm_beam=beam,
+            profile_points=p["profile_points"],
+            extinction_coefficient=p["extinction_coefficient"],
+            detection_efficiency=p["detection_efficiency"],
+            optics_transmittance=p["optics_transmittance"])
+        return list(zip(*(getattr(out, name).tolist() for name in columns)))
+
+    return columns, rows
+
+
+# ---------------------------------------------------------------------------
+# The mode table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Kind:
+    """One way a scenario mode reads ``[params]`` and evaluates its sweep.
+
+    ``keys`` maps each key to ``(parser, default)``; the sweepable keys are
+    the numeric ones unless ``axis`` names them.  ``check(sweep, params)``
+    makes the checks no engine constructor makes.  ``build(params at one
+    point)`` returns the engine objects: the loader builds them at both
+    sweep ends, and the evaluator (``spec -> (columns, rows of a slice)``)
+    runs them.  ``when(raw params, sweep variable)`` says whether the mode
+    takes this kind; None means otherwise.
+    """
+
+    keys: dict
+    build: Callable
+    evaluator: Callable
+    check: "Callable | None" = None
+    axis: "tuple[str, ...]" = ()
+    when: "Callable | None" = None
+
+    @property
+    def sweepable(self) -> "tuple[str, ...]":
+        return self.axis or tuple(key for key, (parse, _) in self.keys.items()
+                                  if parse is _float)
+
+
+def _given(*keys: str) -> Callable:
+    """A ``when``: one of ``keys`` is given in [params] or swept."""
+    return lambda raw, variable: any(key in raw or key == variable for key in keys)
+
+
+def _radar_bound(raw: dict, variable: str) -> bool:
+    source = raw.get("bound_source", "dual-lidar").strip()
+    if source not in ("dual-lidar", "radar-ground"):
+        raise ScenarioError("[params] bound_source must be 'dual-lidar' or "
+                            f"'radar-ground', got {source!r}")
+    return source == "radar-ground"
+
+
+_CV_FIXED = _Kind(
+    {**_CV_KEYS, "v_s": (_float, 1.0), "eta_s": (_float, _REQUIRED),
+     "eta_t": (_float, _REQUIRED)},
+    _cv_objects, _evaluator_cv_arrays, when=_given("eta_s", "eta_t"))
+_CV_WORST = _Kind(
+    {**_CV_KEYS, "v_s": (_float, 1.0), "grid_points": (_int, 101),
+     "refine": (_bool, True)},
+    _cv_objects, _evaluator_cv_worst, _check_grid)
+_PROFILE_KEYS = {"total_range": (_float, 500e3), **_APERTURE_KEYS, **_BEAM_KEYS}
+
+#: Every scenario mode, as its kinds: the first whose ``when`` holds is taken.
+_MODE_TABLE = {
+    "cv-rr": (_CV_FIXED, _CV_WORST),
+    "cv-dr-m1": (_CV_FIXED, _CV_WORST),
+    "cv-dr-m2": (_Kind(_CV_KEYS, _cv_objects, _evaluator_cv_arrays),),
+    "dv-sps": (_Kind(_DV_KEYS, partial(_dv_params, "sps"), _evaluator_dv),),
+    "dv-wcp": (_Kind({**_DV_KEYS, "mu": (_float, _REQUIRED)}, partial(_dv_params, "wcp"),
+                     _evaluator_dv, when=_given("mu")),
+               _Kind(_DV_KEYS, partial(_dv_params, "wcp"),
+                     partial(_evaluator_dv, optimise=True))),
+    "lidar-profile": (
+        _Kind({**_PROFILE_KEYS, "bound_source": (_str, "radar-ground"), **_RADAR_KEYS},
+              partial(_profile_objects, _radar), _evaluator_lidar_profile, _check_profile,
+              axis=("z",), when=_radar_bound),
+        _Kind({**_PROFILE_KEYS, "bound_source": (_str, "dual-lidar"),
+               **_DUAL_LIDAR_KEYS},
+              partial(_profile_objects, _dual_lidars), _evaluator_lidar_profile, _check_profile,
+              axis=("z",))),
+    "lidar-elevation": (
+        _Kind({"altitude": (_float, 500e3), **_APERTURE_KEYS, **_BEAM_KEYS,
+               **_DUAL_LIDAR_KEYS, "profile_points": (_int, 201),
+               "extinction_coefficient": (_float, 0.7),
+               "detection_efficiency": (_float, 0.5),
+               "optics_transmittance": (_float, 0.8)},
+              _elevation_objects, _evaluator_lidar_elevation, _check_elevation,
+              axis=("zenith_deg",)),),
 }
 
-_PROBES = {
-    "cv-rr": _probe_cv,
-    "cv-dr-m1": _probe_cv,
-    "cv-dr-m2": _probe_cv,
-    "dv-sps": _probe_dv,
-    "dv-wcp": _probe_dv,
-    "lidar-profile": _probe_lidar,
-    "lidar-elevation": _probe_lidar,
-}
+MODES = tuple(_MODE_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +614,9 @@ def load_scenario(path: str) -> ScenarioSpec:
     """Parse and validate a scenario file.
 
     Raises :class:`ScenarioError` on syntax or validation problems and lets
-    :class:`OSError` escape for unreadable paths.  Engine invariants are
-    probed at both sweep endpoints, so range mistakes surface here rather
-    than mid-run.
+    :class:`OSError` escape for unreadable paths.  The engine objects the
+    evaluator uses are built at both sweep endpoints, so every range their
+    constructors check surfaces here rather than mid-run.
     """
     parser = ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     with open(path, encoding="utf-8") as fh:
@@ -506,194 +661,26 @@ def load_scenario(path: str) -> ScenarioSpec:
         raise ScenarioError("[sweep] log scale needs positive start and stop")
 
     raw_params = dict(parser.items("params")) if parser.has_section("params") else {}
-    params = _RESOLVERS[mode](mode, sweep, raw_params)
+    kind = next(k for k in _MODE_TABLE[mode]
+                if k.when is None or k.when(raw_params, sweep.variable))
+    if sweep.variable not in kind.sweepable:
+        raise ScenarioError(
+            f"{sweep.variable!r} is not a sweepable parameter of mode {mode}; "
+            f"choose one of: {', '.join(kind.sweepable)}")
+    params = _resolve_keys(kind.keys, raw_params, sweep.variable, mode)
+    if kind.check is not None:
+        kind.check(sweep, params)
 
-    probe = _PROBES[mode]
     for endpoint in (sweep.start, sweep.stop):
         try:
-            probe(mode, {**params, sweep.variable: endpoint})
+            kind.build({**params, sweep.variable: endpoint})
         except ValueError as exc:
             if isinstance(exc, ScenarioError):
                 raise
             raise ScenarioError(
                 f"invalid parameters at {sweep.variable}={endpoint}: {exc}") from exc
 
-    return ScenarioSpec(mode=mode, sweep=sweep, params=params, path=path)
-
-
-# ---------------------------------------------------------------------------
-# Evaluators: columns + slice functions, closed over the fixed parameters
-# ---------------------------------------------------------------------------
-
-def _clamp(rate: float) -> float:
-    return rate if rate > 0.0 else 0.0
-
-
-def _clamp_array(rate: np.ndarray) -> np.ndarray:
-    return np.where(rate > 0.0, rate, 0.0)
-
-
-def _cv_obs(p: dict) -> ChannelObservation:
-    return ChannelObservation(t_eq=p["t_eq"], xi=p["xi"], eta_d=p["eta_d"],
-                              nu_el=p["nu_el"])
-
-
-def _evaluator_cv_worst(spec: ScenarioSpec):
-    engine_mode = spec.mode[3:]
-    columns = ("k_worst", "k_worst_pos", "argmin_eta_s", "argmin_eta_t",
-               "k_nobypass", "k_nobypass_pos", "feasible", "feasible_nobypass")
-
-    def row(p: dict) -> tuple:
-        try:
-            res = worst_case_rate(p["eta_ae"], _cv_obs(p), engine_mode,
-                                  grid_points=p["grid_points"], v=p["v"],
-                                  beta=p["beta"], v_s=p["v_s"],
-                                  refine=p["refine"])
-        except InfeasibleAttackError:
-            return (None, None, None, None, None, None, 0, 0)
-        nb = res.rate_nobypass
-        if nb is None:
-            return (res.rate, _clamp(res.rate), res.eta_s, res.eta_t,
-                    None, None, 1, 0)
-        return (res.rate, _clamp(res.rate), res.eta_s, res.eta_t,
-                nb, _clamp(nb), 1, 1)
-
-    def rows(values: "list[float]") -> "list[tuple]":
-        return [row({**spec.params, spec.sweep.variable: x}) for x in values]
-
-    return columns, rows
-
-
-def _evaluator_cv_arrays(spec: ScenarioSpec):
-    # Fixed-hypothesis cv-rr / cv-dr-m1 and cv-dr-m2: one cv.rate_arrays call
-    # per slice.  The cv-dr-m2 bound is feasible everywhere.
-    engine_mode = spec.mode[3:]
-    dr_m2 = engine_mode == "dr-m2"
-    columns = ("eve_bound", "k", "k_pos") if dr_m2 else ("k", "k_pos", "chi_eve", "feasible")
-
-    def rows(values: "list[float]") -> "list[tuple]":
-        p = {**spec.params, spec.sweep.variable: np.array(values, dtype=float)}
-        rate, chi, feasible = cv_rate_arrays(engine_mode, **p)
-        bad = feasible & ~np.isfinite(rate)
-        if bad.any():
-            x = values[int(np.argmax(bad))]
-            raise FloatingPointError(
-                f"non-finite key rate at {spec.sweep.variable}={x!r}")
-        if dr_m2:
-            return [(c, k, _clamp(k)) for c, k in zip(chi.tolist(), rate.tolist())]
-        return [(k, _clamp(k), c, 1) if ok else (None, None, None, 0)
-                for k, c, ok in zip(rate.tolist(), chi.tolist(), feasible.tolist())]
-
-    return columns, rows
-
-
-def _evaluator_dv(spec: ScenarioSpec):
-    # dv-wcp evaluates mu as given when it is fixed (or swept), and otherwise
-    # optimises it per point and reports the optimum.  Every DV table ends
-    # with the single-photon rate.
-    wcp = spec.mode == "dv-wcp"
-    optimise = wcp and "mu" not in spec.params and spec.sweep.variable != "mu"
-    columns = (("rate_wcp", "rate_wcp_pos") if wcp else ()) \
-        + (("mu_opt",) if optimise else ()) + ("rate_sps", "rate_sps_pos")
-
-    def rows(values: "list[float]") -> "list[tuple]":
-        p = {**spec.params, spec.sweep.variable: np.array(values, dtype=float)}
-        link = {key: p[key] for key in _DV_KEYS}
-        cells = []
-        if optimise:
-            mu, rate = optimize_mu_arrays(**link)
-            cells += [rate, _clamp_array(rate), mu]
-        elif wcp:
-            rate = rate_arrays("wcp", mu=p["mu"], **link)
-            cells += [rate, _clamp_array(rate)]
-        sps = rate_arrays("sps", **link)
-        cells += [sps, _clamp_array(sps)]
-        return list(zip(*(np.broadcast_to(c, (len(values),)).tolist() for c in cells)))
-
-    return columns, rows
-
-
-def _dual_lidars(p: dict, beam: BeamParams) -> "tuple[LidarConfig, LidarConfig]":
-    """The satellite LIDAR, which shares the communication beam, and the
-    ground LIDAR, whose beam has the ground aperture as its waist."""
-    shared = dict(loss_factor=p["loss_factor"], reflectivity=p["reflectivity"])
-    return (LidarConfig(transmit_power=p["power_sat"], noise_floor=p["noise_floor_sat"],
-                        beam=beam, **shared),
-            LidarConfig(transmit_power=p["power_ground"],
-                        noise_floor=p["noise_floor_ground"],
-                        beam=replace(beam, waist=p["r_b"]), **shared))
-
-
-def _evaluator_lidar_profile(spec: ScenarioSpec):
-    p = spec.params
-    total = p["total_range"]
-    beam = BeamParams(**{key: p[key] for key in _BEAM_KEYS})
-    geom = LinkGeometry(total_range=total, r_b=p["r_b"])
-    dual = p["bound_source"] == "dual-lidar"
-    if dual:
-        cfg_sat, cfg_ground = _dual_lidars(p, beam)
-
-        def size_bound(z):
-            return dual_lidar_size_bound(z, geom, cfg_sat, cfg_ground)
-
-        columns = ("r_e", "eta_ae", "eta_eb", "alpha_min_sat", "alpha_min_ground")
-    else:
-        radar = RadarParams(
-            transmit_power=p["radar_power"],
-            antenna_radius=p["radar_antenna_radius"],
-            wavelength=p["radar_wavelength"],
-            bandwidth=p["radar_bandwidth"],
-            noise_figure=10.0 ** (p["radar_noise_figure_db"] / 10.0),
-            loss_factor=10.0 ** (p["radar_loss_db"] / 10.0),
-            aperture_efficiency=p["radar_aperture_efficiency"],
-            antenna_temperature=p["radar_antenna_temp"])
-
-        def size_bound(z):
-            return radar_size_bound(total - z, radar)
-
-        columns = ("r_e", "eta_ae", "eta_eb")
-
-    def rows(values: "list[float]") -> "list[tuple]":
-        z = np.array(values, dtype=float)
-        cells = eve_efficiencies(z, size_bound, geom, beam)
-        if dual:
-            cells += (reflectivity_threshold(z, cfg_sat),
-                      reflectivity_threshold(total - z, cfg_ground))
-        return list(zip(*(c.tolist() for c in cells)))
-
-    return columns, rows
-
-
-def _evaluator_lidar_elevation(spec: ScenarioSpec):
-    p = spec.params
-    beam = BeamParams(**{key: p[key] for key in _BEAM_KEYS})
-    cfg_sat, cfg_ground = _dual_lidars(p, beam)
-    columns = ("max_eta_ae", "max_eta_eb", "eta_ab_diffraction",
-               "eta_ab_effective")
-
-    def rows(values: "list[float]") -> "list[tuple]":
-        out = elevation_sweep(
-            p["altitude"], cfg_sat, cfg_ground, np.radians(values),
-            r_b=p["r_b"], comm_beam=beam,
-            profile_points=p["profile_points"],
-            extinction_coefficient=p["extinction_coefficient"],
-            detection_efficiency=p["detection_efficiency"],
-            optics_transmittance=p["optics_transmittance"])
-        return list(zip(*(getattr(out, name).tolist() for name in columns)))
-
-    return columns, rows
-
-
-def _build_evaluator(spec: ScenarioSpec):
-    if spec.mode in ("cv-rr", "cv-dr-m1") and "grid_points" in spec.params:
-        return _evaluator_cv_worst(spec)
-    if spec.mode.startswith("cv-"):
-        return _evaluator_cv_arrays(spec)
-    if spec.mode in ("dv-sps", "dv-wcp"):
-        return _evaluator_dv(spec)
-    if spec.mode == "lidar-profile":
-        return _evaluator_lidar_profile(spec)
-    return _evaluator_lidar_elevation(spec)
+    return ScenarioSpec(mode=mode, sweep=sweep, params=params, path=path, kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +700,7 @@ def run_scenario(path: str, *, threads: int = 1) -> ResultTable:
     spec = load_scenario(path)
     if threads < 1:
         raise ScenarioError(f"threads must be >= 1, got {threads}")
-    tail_columns, rows_fn = _build_evaluator(spec)
+    tail_columns, rows_fn = spec.kind.evaluator(spec)
     grid = spec.sweep.grid()
     slices = [part.tolist() for part in np.array_split(grid, min(threads, grid.size))]
 

@@ -5,15 +5,18 @@ import glob
 import io
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import satqkd
-from satqkd import cli
+from satqkd import cli, dv, scenario
 from satqkd.cv import ChannelObservation, CvScenario, InfeasibleAttackError
 from satqkd.dv import DvParams
 from satqkd.lidar import (
@@ -24,12 +27,14 @@ from satqkd.lidar import (
     elevation_sweep,
     eve_efficiencies,
     eve_efficiency_profile,
+    moonlight_background_power,
     nominal_comm_beam,
     nominal_geometry,
     nominal_ground_lidar,
     nominal_radar,
     nominal_satellite_lidar,
     radar_size_bound,
+    sky_background_power,
 )
 from satqkd.scenario import (
     ResultTable,
@@ -202,6 +207,148 @@ HUGE_GRID = ("[scenario]\nmode = cv-rr\n[sweep]\nvariable = eta_ae\nstart = 0.1\
 def test_bad_scenarios_are_rejected_with_a_pointer(tmp_path, text, match):
     with pytest.raises(ScenarioError, match=match):
         load_scenario(write(tmp_path, text))
+
+
+# ---------------------------------------------------------------------------
+# load-time validation: a file is rejected at load or runs clean
+# ---------------------------------------------------------------------------
+
+DV_KEYS = dict(eta_ch=1e-3, eta_d=0.9, p_dc=1e-7, e_d=0.01, f=1.16, q=1.0, eta_ae=1e-3)
+APERTURE_BEAM_KEYS = dict(r_a=0.15, r_b=0.5, waist=0.15, wavelength=8e-7, quality=3.0)
+DUAL_LIDAR_KEYS = dict(power_sat=1.0, power_ground=1.0, reflectivity=0.1, loss_factor=0.25,
+                       noise_floor_sat=moonlight_background_power(0.15),
+                       noise_floor_ground=sky_background_power(0.5))
+RADAR_KEYS = dict(radar_power=1e5, radar_antenna_radius=2.0, radar_wavelength=0.04,
+                  radar_bandwidth=2.5e6, radar_noise_figure_db=8.0, radar_loss_db=7.0,
+                  radar_aperture_efficiency=0.6, radar_antenna_temp=60.0)
+
+# name: (mode, fixed sweep or None to sweep a drawn key, {key: default}).
+# Each key is drawn at its default or at 0, -default, default * 1e-3 or
+# default * 1e3; bound_source is fixed by the entry.
+LOADER_FUZZ_FILES = {
+    "dv-sps": ("dv-sps", None, DV_KEYS),
+    "dv-wcp-optimised-mu": ("dv-wcp", None, DV_KEYS),
+    "dv-wcp-mu": ("dv-wcp", None, {**DV_KEYS, "mu": 0.5}),  # mu given or swept
+    "lidar-profile": ("lidar-profile", ("z", 0.0, 5e5),
+                      dict(total_range=5e5, **APERTURE_BEAM_KEYS, **DUAL_LIDAR_KEYS)),
+    "radar": ("lidar-profile", ("z", 0.0, 5e5),
+              dict(total_range=5e5, **APERTURE_BEAM_KEYS, **RADAR_KEYS)),
+    "lidar-elevation": ("lidar-elevation", ("zenith_deg", 0.0, 60.0),
+                        dict(altitude=5e5, **APERTURE_BEAM_KEYS, **DUAL_LIDAR_KEYS,
+                             profile_points=201, extinction_coefficient=0.7,
+                             detection_efficiency=0.5, optics_transmittance=0.8)),
+}
+
+
+def _magnitudes(default):
+    return [0 * default, -default, default * 1e-3, default * 1e3]
+
+
+@st.composite
+def loader_fuzz_files(draw):
+    # Up to two keys move off their defaults, and a swept key's ends are
+    # often the default, so that many files pass the loader and run.
+    name = draw(st.sampled_from(sorted(LOADER_FUZZ_FILES)))
+    mode, axis, defaults = LOADER_FUZZ_FILES[name]
+    if axis is None:
+        variable = draw(st.sampled_from(sorted(defaults)))
+        ends = st.one_of(st.just(defaults[variable]),
+                         st.sampled_from(_magnitudes(defaults[variable])))
+        start, stop = draw(ends), draw(ends)
+    else:
+        variable, start, stop = axis
+    size = draw(st.integers(0, 2))
+    moved = draw(st.sets(st.sampled_from(sorted(set(defaults) - {variable})),
+                         min_size=size, max_size=size))
+    params = {key: draw(st.sampled_from(_magnitudes(default))) if key in moved else default
+              for key, default in defaults.items() if key != variable}
+    if not mode.startswith("dv-"):  # left out, a key takes its default
+        params = {key: params[key] for key in moved}
+    if name == "radar":
+        params["bound_source"] = "radar-ground"
+    return mode, variable, start, stop, params
+
+
+def loader_fuzz_text(mode, variable, start, stop, params):
+    return "\n".join(["[scenario]", f"mode = {mode}", "[sweep]", f"variable = {variable}",
+                      f"start = {start!r}", f"stop = {stop!r}", "points = 5", "[params]",
+                      *(f"{key} = {val}" for key, val in params.items())]) + "\n"
+
+
+# Regressions: ranges only an engine constructor checks (the LIDAR loss
+# factor, the radar noise figure), dB values past a float's range, and a mu
+# sweep that the loader must accept.
+LOADER_DEFECTS = {
+    "dv-wcp-mu-sweep": ("dv-wcp", "mu", 0.1, 1.0,
+                        dict(eta_ch=1e-3, eta_d=0.9, p_dc=1e-7, e_d=0.01, f=1.16, q=1.0,
+                             eta_ae=1e-4)),
+    "lidar-profile-loss-factor": ("lidar-profile", "z", 0.0, 5e5, {"loss_factor": 2.0}),
+    "lidar-elevation-loss-factor": ("lidar-elevation", "zenith_deg", 0.0, 60.0,
+                                    {"loss_factor": 250.0}),
+    "radar-noise-figure-below-0-db": ("lidar-profile", "z", 0.0, 5e5,
+                                      {"bound_source": "radar-ground",
+                                       "radar_noise_figure_db": -8.0}),
+    "radar-noise-figure-overflow": ("lidar-profile", "z", 0.0, 5e5,
+                                    {"bound_source": "radar-ground",
+                                     "radar_noise_figure_db": 8000.0}),
+    "radar-loss-overflow": ("lidar-profile", "z", 0.0, 5e5,
+                            {"bound_source": "radar-ground", "radar_loss_db": 7000.0}),
+}
+
+
+@settings(deadline=None, max_examples=500)
+@given(loader_fuzz_files())
+@example(LOADER_DEFECTS["dv-wcp-mu-sweep"])
+@example(LOADER_DEFECTS["lidar-profile-loss-factor"])
+@example(LOADER_DEFECTS["lidar-elevation-loss-factor"])
+@example(LOADER_DEFECTS["radar-noise-figure-below-0-db"])
+@example(LOADER_DEFECTS["radar-noise-figure-overflow"])
+@example(LOADER_DEFECTS["radar-loss-overflow"])
+def test_a_file_is_rejected_at_load_or_runs_with_finite_cells(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "case.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(loader_fuzz_text(*case))
+        try:
+            load_scenario(path)
+        except ScenarioError:
+            return
+        table = run_scenario(path)
+    for row in table.rows:
+        for column, cell in zip(table.columns, row):
+            assert cell is None or math.isfinite(cell) or (column, cell) == ("r_e", math.inf), \
+                (column, cell)
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_DEFECTS))
+def test_cli_defect_files_are_exit_one_or_run_clean(tmp_path, capsys, name):
+    path = write(tmp_path, loader_fuzz_text(*LOADER_DEFECTS[name]))
+    if name == "dv-wcp-mu-sweep":
+        assert cli.main(["validate", path]) == 0
+        assert cli.main(["run", path]) == 0
+        rows = capsys.readouterr().out.splitlines()[-5:]
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
+        return
+    field = {"radar-noise-figure-below-0-db": "noise_figure",
+             "radar-noise-figure-overflow": "radar_noise_figure_db",
+             "radar-loss-overflow": "radar_loss_db"}.get(name, "loss_factor")
+    for command in ("validate", "run"):
+        assert cli.main([command, path]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and field in err
+
+
+def test_every_mode_key_is_documented():
+    # The mode table is the one declaration of the keys; the module docstring
+    # and the README must not drift from it.
+    doc = scenario.__doc__
+    with open(os.path.join(HERE, os.pardir, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    for mode, kinds in scenario._MODE_TABLE.items():
+        assert mode in readme, mode
+        for kind in kinds:
+            for key in kind.keys:
+                assert re.search(rf"\b{key}\b", doc), (mode, key)
 
 
 def test_shipped_scenarios_all_validate():
@@ -638,6 +785,11 @@ CV_FIXED_T_EQ = """\
     eta_t = 0.99
 """
 
+# A dv-wcp sweep of the pulse intensity itself.
+DV_WCP_SWEPT_MU = (DV_BASE.replace("variable = eta_ae", "variable = mu")
+                   .replace("start = 1e-4", "start = 0.05").replace("stop = 8e-4", "stop = 2.0")
+                   .replace("points = 2", "points = 11") + "    eta_ae = 2e-4\n")
+
 # One file per kind of evaluator; no sweep length divides evenly by 4.
 WORKER_COUNT_CASES = {
     "cv-rr-worst": QUICK_WORST.replace("points = 4", "points = 5"),
@@ -649,6 +801,7 @@ WORKER_COUNT_CASES = {
     "dv-wcp-no-key": DV_BASE.replace("points = 2", "points = 11")
                             .replace("stop = 8e-4", "stop = 3e-3"),
     "dv-wcp-fixed-mu": DV_BASE.replace("points = 2", "points = 9") + "    mu = 0.5\n",
+    "dv-wcp-swept-mu": DV_WCP_SWEPT_MU,
     "dv-sps": DV_BASE.replace("mode = dv-wcp", "mode = dv-sps")
                      .replace("points = 2", "points = 9"),
     "lidar-profile": LIDAR_BASE.replace("points = 2", "points = 41"),
@@ -667,6 +820,16 @@ def test_output_bytes_do_not_depend_on_the_worker_count(tmp_path, case):
         blobs.append(buf.getvalue())
     assert blobs[0] == blobs[1]
     assert len(blobs[0]) > 100
+
+
+def test_wcp_sweep_over_mu_equals_the_array_kernel(tmp_path):
+    table = run_scenario(write(tmp_path, DV_WCP_SWEPT_MU))
+    assert table.columns == ("mu", "rate_wcp", "rate_wcp_pos", "rate_sps", "rate_sps_pos")
+    mu = np.array([row[0] for row in table.rows])
+    want = dv.rate_arrays("wcp", mu=mu, eta_ch=1e-3, eta_d=0.9, p_dc=1e-7, e_d=0.01,
+                          f=1.16, q=1.0, eta_ae=2e-4)
+    assert [row[1] for row in table.rows] == want.tolist()
+    assert [row[2] for row in table.rows] == np.maximum(want, 0.0).tolist()
 
 
 def test_import_and_non_cv_runs_load_no_scipy(tmp_path):
