@@ -24,39 +24,34 @@ dark-count probability ``p_dc`` each, overall transmission
 ``eta = eta_ch * eta_d``, misalignment error ``e_d`` on signal detections and
 random (1/2) error on dark counts.
 
-One kernel evaluates this whole chain (channel model, photon-number terms
-and rate, with the single-photon best of three) on Python floats and on
-broadcastable NumPy arrays alike.  :func:`channel_observables`,
+One NumPy kernel evaluates this whole chain (channel model, photon-number
+terms and rate, with the single-photon best of three) on broadcastable
+arrays, one lane per operating point: :func:`rate_arrays` runs it on whole
+sweeps, and :func:`binary_entropy`, :func:`channel_observables`,
 :func:`photon_number_bounds`, :func:`restricted_rate` and :func:`rate_at`
-wrap it on floats, where it computes exactly the plain ``math``
-expressions; :func:`rate_arrays` runs it on arrays, one lane per operating
-point.  :func:`optimize_mu_arrays` maximises the WCP rate over the pulse
-intensity for a whole array of operating points: one array for the coarse
-scan, then a golden-section search run in lockstep, each lane with its own
-bracket and stopping rule, so no lane's result depends on the others.
-:func:`optimize_mu` is its one-point wrapper.
+are one-lane calls of it that return Python floats.
+:func:`optimize_mu_arrays` maximises the WCP rate over the pulse intensity
+for a whole array of operating points: one array for the coarse scan over
+``MU_RANGE``, then a golden-section search run in lockstep, each lane with
+its own bracket and stopping rule, so no lane's result depends on the
+others.  :func:`optimize_mu` is its one-point wrapper.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Literal
 
 import numpy as np
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
 
-# The NumPy functions the kernels (here and in cv.py) call, for Python floats.
-# Both branches of ``where`` are evaluated, as in NumPy, so the kernels guard
-# their own domains.  maximum and minimum return what the builtins max and min
-# return, at a third of their cost: the CV polish calls its attack solver
-# ~1e5 times per file.
-_FLOAT_OPS = SimpleNamespace(exp=math.exp, expm1=math.expm1, log2=math.log2, sqrt=math.sqrt,
-                             maximum=lambda a, b: b if b > a else a,
-                             minimum=lambda a, b: b if b < a else a,
-                             where=lambda cond, a, b: a if cond else b)
+# The WCP intensity search: MU_COARSE_POINTS log-spaced intensities over
+# MU_RANGE, then golden section on log10(mu) to MU_TOL.
+MU_RANGE = (1e-4, 1e3)
+MU_COARSE_POINTS = 200
+MU_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -114,69 +109,70 @@ class DvObservables:
 
 
 # ---------------------------------------------------------------------------
-# Kernel: ``xp`` is ``_FLOAT_OPS`` for Python floats and ``np`` for arrays.
+# Kernel: broadcastable arrays, one lane per operating point.  Both branches
+# of ``np.where`` are evaluated, so the kernel guards its own domains.
 # ---------------------------------------------------------------------------
 
-def _entropy(xp, x):
+def _entropy(x):
     """Binary entropy in bits, continued by 0 outside (0, 1)."""
     inner = (x > 0.0) & (x < 1.0)
-    x = xp.where(inner, x, 0.5)
-    return xp.where(inner, -x * xp.log2(x) - (1.0 - x) * xp.log2(1.0 - x), 0.0)
+    x = np.where(inner, x, 0.5)
+    return np.where(inner, -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x), 0.0)
 
 
-def _observables(xp, wcp, eta, mu, p_dc, e_d):
+def _observables(wcp, eta, mu, p_dc, e_d):
     """(gain, qber) of the threshold-detector channel; qber = 1/2 at zero gain.
 
     The dark-count-only clicks, gain - p_signal, are written as the product
     (1 - p_signal) p_dc (2 - p_dc): the difference cancels, and without dark
     counts left a QBER of about +-1e-16 where it is 0.
     """
-    p_signal = -xp.expm1(-eta * mu) if wcp else eta
+    p_signal = -np.expm1(-eta * mu) if wcp else eta
     gain = 1.0 - (1.0 - p_dc) ** 2 * (1.0 - p_signal)
     eq = e_d * p_signal + 0.5 * (1.0 - p_signal) * p_dc * (2.0 - p_dc)
     seen = gain > 0.0
-    qber = xp.where(seen, eq / xp.where(seen, gain, 1.0), 0.5)
-    return gain, xp.minimum(qber, 0.5)
+    qber = np.where(seen, eq / np.where(seen, gain, 1.0), 0.5)
+    return gain, np.minimum(qber, 0.5)
 
 
-def _photon_terms(xp, wcp, mu, eta_ae):
+def _photon_terms(wcp, mu, eta_ae):
     """(p0_eve, p11) of the source model."""
     if wcp:
-        return xp.exp(-mu * eta_ae), mu * eta_ae * xp.exp(-mu)
+        return np.exp(-mu * eta_ae), mu * eta_ae * np.exp(-mu)
     return 1.0 - eta_ae, eta_ae
 
 
-def _rate(xp, wcp, gain, qber, p0_eve, p11, f, q):
+def _rate(wcp, gain, qber, p0_eve, p11, f, q):
     """The restricted bound; for the single-photon source the best of three."""
-    s0 = xp.maximum(gain - (1.0 - p0_eve), 0.0)
-    s11 = xp.maximum(gain - (1.0 - p11), 0.0)
+    s0 = np.maximum(gain - (1.0 - p0_eve), 0.0)
+    s11 = np.maximum(gain - (1.0 - p11), 0.0)
     credited = s11 > 0.0
-    e11 = xp.where(credited,
-                   xp.minimum(qber * gain / xp.where(credited, s11, 1.0), 0.5), 0.5)
-    h_e, h_11 = _entropy(xp, qber), _entropy(xp, e11)
+    e11 = np.where(credited,
+                   np.minimum(qber * gain / np.where(credited, s11, 1.0), 0.5), 0.5)
+    h_e, h_11 = _entropy(qber), _entropy(e11)
     rate = q * (-f * gain * h_e + s11 * (1.0 - h_11) + s0)
     if wcp:
         return rate
     no_s0 = q * gain * (-f * h_e + 1.0 - h_11)
     all_single = q * gain * (1.0 - (1.0 + f) * h_e)
-    return xp.maximum(xp.maximum(rate, no_s0), all_single)
+    return np.maximum(np.maximum(rate, no_s0), all_single)
 
 
-def _bb84_rate(xp, wcp, eta, mu, p_dc, e_d, f, q, eta_ae):
-    gain, qber = _observables(xp, wcp, eta, mu, p_dc, e_d)
-    p0_eve, p11 = _photon_terms(xp, wcp, mu, eta_ae)
-    return _rate(xp, wcp, gain, qber, p0_eve, p11, f, q)
+def _bb84_rate(wcp, eta, mu, p_dc, e_d, f, q, eta_ae):
+    gain, qber = _observables(wcp, eta, mu, p_dc, e_d)
+    p0_eve, p11 = _photon_terms(wcp, mu, eta_ae)
+    return _rate(wcp, gain, qber, p0_eve, p11, f, q)
 
 
 # ---------------------------------------------------------------------------
-# One operating point: float wrappers
+# One operating point: one-lane calls of the kernel, returning Python floats
 # ---------------------------------------------------------------------------
 
 def binary_entropy(x: float) -> float:
     """Shannon entropy of a bit with bias ``x``, in bits; h(0) = h(1) = 0."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"binary_entropy argument must lie in [0, 1], got {x}")
-    return _entropy(_FLOAT_OPS, x)
+    return float(_entropy(x))
 
 
 def channel_observables(p: DvParams) -> DvObservables:
@@ -186,13 +182,14 @@ def channel_observables(p: DvParams) -> DvObservables:
     Errors: e_d on rounds with at least one signal photon detected, 1/2 on
     dark-count-only clicks.
     """
-    gain, qber = _observables(_FLOAT_OPS, p.source == "wcp", p.eta, p.mu, p.p_dc, p.e_d)
-    return DvObservables(gain=gain, qber=qber)
+    gain, qber = _observables(p.source == "wcp", p.eta, p.mu, p.p_dc, p.e_d)
+    return DvObservables(gain=float(gain), qber=float(qber))
 
 
 def photon_number_bounds(p: DvParams) -> "tuple[float, float]":
     """(p0_eve, p11): Eve holds nothing / exactly the one photon that was sent."""
-    return _photon_terms(_FLOAT_OPS, p.source == "wcp", p.mu, p.eta_ae)
+    p0_eve, p11 = _photon_terms(p.source == "wcp", p.mu, p.eta_ae)
+    return float(p0_eve), float(p11)
 
 
 def restricted_rate(p: DvParams, obs: DvObservables) -> float:
@@ -204,8 +201,7 @@ def restricted_rate(p: DvParams, obs: DvObservables) -> float:
     detection as a single-photon event.
     """
     p0_eve, p11 = photon_number_bounds(p)
-    return _rate(_FLOAT_OPS, p.source == "wcp", obs.gain, obs.qber, p0_eve, p11,
-                 p.f, p.q)
+    return float(_rate(p.source == "wcp", obs.gain, obs.qber, p0_eve, p11, p.f, p.q))
 
 
 def rate_at(p: DvParams) -> float:
@@ -219,22 +215,19 @@ class MuOptimum:
     rate: float
 
 
-def optimize_mu(p: DvParams, *, mu_range: "tuple[float, float]" = (1e-4, 1e3),
-                coarse_points: int = 200, tol: float = 1e-6) -> MuOptimum:
+def optimize_mu(p: DvParams) -> MuOptimum:
     """Maximise the WCP rate over the pulse intensity.
 
-    A log-spaced coarse scan brackets the maximum, then golden-section search
-    on log10(mu) polishes it to ``tol``.  If no intensity gives a positive
-    rate the returned rate is 0.0 and mu is the coarse-scan argmax, which
-    keeps sweeps well-defined in the no-key region.  One lane of
-    :func:`optimize_mu_arrays`.
+    A log-spaced coarse scan over ``MU_RANGE`` brackets the maximum, then
+    golden-section search on log10(mu) polishes it to ``MU_TOL``.  If no
+    intensity gives a positive rate the returned rate is 0.0 and mu is the
+    coarse-scan argmax, which keeps sweeps well-defined in the no-key
+    region.  One lane of :func:`optimize_mu_arrays`.
     """
     if p.source != "wcp":
         raise ValueError("mu optimisation only applies to the WCP source")
     mu, rate = optimize_mu_arrays(eta_ch=p.eta_ch, eta_d=p.eta_d, p_dc=p.p_dc,
-                                  e_d=p.e_d, f=p.f, q=p.q, eta_ae=p.eta_ae,
-                                  mu_range=mu_range, coarse_points=coarse_points,
-                                  tol=tol)
+                                  e_d=p.e_d, f=p.f, q=p.q, eta_ae=p.eta_ae)
     return MuOptimum(mu=float(mu), rate=float(rate))
 
 
@@ -245,44 +238,38 @@ def optimize_mu(p: DvParams, *, mu_range: "tuple[float, float]" = (1e-4, 1e3),
 
 def rate_arrays(source: str, *, eta_ch, eta_d, p_dc, e_d, f, q, eta_ae, mu=1.0):
     """:func:`rate_at` over broadcastable arrays of the :class:`DvParams` fields."""
-    return _bb84_rate(np, source == "wcp", eta_ch * eta_d, mu, p_dc, e_d, f, q, eta_ae)
+    return _bb84_rate(source == "wcp", eta_ch * eta_d, mu, p_dc, e_d, f, q, eta_ae)
 
 
-def optimize_mu_arrays(*, eta_ch, eta_d, p_dc, e_d, f, q, eta_ae,
-                       mu_range: "tuple[float, float]" = (1e-4, 1e3),
-                       coarse_points: int = 200, tol: float = 1e-6):
+def optimize_mu_arrays(*, eta_ch, eta_d, p_dc, e_d, f, q, eta_ae):
     """:func:`optimize_mu` for every operating point of broadcastable arrays of
     the WCP fields; returns arrays (mu, rate) of their broadcast shape.
 
     Each operating point is a lane (a row): the coarse scan is one
-    (lanes, coarse_points) array, and each golden-section step moves the
-    bracket of every lane still wider than ``tol``, so each lane takes
+    (lanes, MU_COARSE_POINTS) array, and each golden-section step moves the
+    bracket of every lane still wider than ``MU_TOL``, so each lane takes
     exactly the steps it would take alone.
     """
-    lo, hi = math.log10(mu_range[0]), math.log10(mu_range[1])
-    if not hi > lo:
-        raise ValueError(f"empty mu range {mu_range}")
-    if coarse_points < 2:
-        raise ValueError(f"coarse_points must be >= 2, got {coarse_points}")
+    lo, hi = math.log10(MU_RANGE[0]), math.log10(MU_RANGE[1])
     fields = np.broadcast_arrays(eta_ch * eta_d, p_dc, e_d, f, q, eta_ae)
     shape = fields[0].shape
     eta, p_dc, e_d, f, q, eta_ae = (np.reshape(a, (-1, 1)) for a in fields)
 
     def rate_log(x):
-        return _bb84_rate(np, True, eta, 10.0 ** x, p_dc, e_d, f, q, eta_ae)
+        return _bb84_rate(True, eta, 10.0 ** x, p_dc, e_d, f, q, eta_ae)
 
-    xs = lo + (hi - lo) * np.arange(coarse_points) / (coarse_points - 1)
+    xs = lo + (hi - lo) * np.arange(MU_COARSE_POINTS) / (MU_COARSE_POINTS - 1)
     rates = rate_log(xs[None, :])
     k = np.argmax(rates, axis=1)[:, None]
     x_scan, r_scan = xs[k], np.take_along_axis(rates, k, axis=1)
     no_key = r_scan <= 0.0
 
     a = xs[np.maximum(k - 1, 0)]
-    b = xs[np.minimum(k + 1, coarse_points - 1)]
+    b = xs[np.minimum(k + 1, MU_COARSE_POINTS - 1)]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = rate_log(c), rate_log(d)
-    active = (b - a > tol) & ~no_key
+    active = (b - a > MU_TOL) & ~no_key
     while active.any():
         left = active & (fc >= fd)   # the maximum lies in [a, d]
         right = active & ~left       # ... in [c, b]
@@ -292,7 +279,7 @@ def optimize_mu_arrays(*, eta_ch, eta_d, p_dc, e_d, f, q, eta_ae,
         d[right] = a[right] + _GOLDEN * (b[right] - a[right])
         f_new = rate_log(np.where(left, c, d))
         fc[left], fd[right] = f_new[left], f_new[right]
-        active &= b - a > tol
+        active &= b - a > MU_TOL
 
     x_best = 0.5 * (a + b)
     r_best = rate_log(x_best)

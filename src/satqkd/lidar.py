@@ -12,9 +12,9 @@ sight.  Monitoring is performed simultaneously by a LIDAR on the satellite
 (looking down, range z) and one on the ground (looking up, range L - z);
 an undetected object must sit below both size bounds.
 
-The size bounds, beam widths and transmittances take a float (and give a
-float) or a NumPy array of ranges (and give an array), so a profile along z
-is one array evaluation through :func:`eve_efficiencies`.
+Every function of a range or an angle takes a float (and gives a float) or
+a NumPy array (and gives an array), so a profile along z, or one per zenith
+angle, is one array evaluation through :func:`eve_efficiencies`.
 
 Default constants not fixed by the optical model itself (albedos, sky
 radiance, field of view, filter bandwidth, radar system temperature) are
@@ -25,7 +25,7 @@ bottom and the README.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,11 +91,11 @@ class LidarConfig:
 class LinkGeometry:
     """Alice-Bob line of sight and Bob's (ground) aperture radius."""
 
-    total_range: float  # m, distance A -> B
-    r_b: float          # m, ground aperture radius
+    total_range: "float | np.ndarray"  # m, distance A -> B, or one per lane
+    r_b: float                         # m, ground aperture radius
 
     def __post_init__(self):
-        if self.total_range <= 0.0:
+        if not np.all(np.asarray(self.total_range) > 0.0):
             raise ValueError("total_range must be positive")
         if self.r_b <= 0.0:
             raise ValueError("aperture radius must be positive")
@@ -232,7 +232,7 @@ def sky_background_power(r_b: float = 0.5, *, fov: float = FIELD_OF_VIEW,
 
 @dataclass(frozen=True)
 class EveProfile:
-    """Size and efficiency bounds along the line of sight."""
+    """Size and efficiency bounds along the line of sight (the last axis)."""
 
     z: np.ndarray        # m from the satellite
     r_e: np.ndarray      # m, largest undetected object radius
@@ -258,7 +258,9 @@ def dual_lidar_size_bound(z, geom: LinkGeometry, cfg_sat: LidarConfig,
 
 def eve_efficiencies(z, size_bound, geom: LinkGeometry, beam: BeamParams):
     """Arrays (r_e, eta_ae, eta_eb) along ``z`` for any monitor, whose bound
-    ``size_bound`` maps an array of interior positions 0 < z < L to r_e.
+    ``size_bound(z, link)`` maps an array of interior positions 0 < z < L to
+    r_e.  ``geom.total_range`` may be an array that broadcasts with ``z``,
+    one link length per lane; ``link`` holds those of the lanes passed.
 
     An object touching either terminal is always seen (r_e = 0, and both
     efficiencies are 0 wherever r_e = 0); an unbounded one (r_e = inf) has
@@ -266,17 +268,17 @@ def eve_efficiencies(z, size_bound, geom: LinkGeometry, beam: BeamParams):
     through a disc of radius r_e at z and re-injects through the beam it
     focuses on B's aperture (:func:`focused_beam_width`).
     """
-    z = np.asarray(z, dtype=float)
+    z, length = np.broadcast_arrays(np.asarray(z, dtype=float), geom.total_range)
     r_e = np.zeros(z.shape)
-    inner = (z > 0.0) & (z < geom.total_range)
-    r_e[inner] = size_bound(z[inner])
+    inner = (z > 0.0) & (z < length)
+    r_e[inner] = size_bound(z[inner], replace(geom, total_range=length[inner]))
     eta_ae = np.where(np.isinf(r_e), 1.0, 0.0)
     eta_eb = eta_ae.copy()
     finite = np.isfinite(r_e) & (r_e > 0.0)
     z_f, r_f = z[finite], r_e[finite]
     eta_ae[finite] = aperture_transmittance(r_f, beam_width(z_f, beam))
-    eta_eb[finite] = aperture_transmittance(
-        geom.r_b, focused_beam_width(z_f, r_f, geom, beam.wavelength))
+    eta_eb[finite] = aperture_transmittance(geom.r_b, focused_beam_width(
+        z_f, r_f, replace(geom, total_range=length[finite]), beam.wavelength))
     return r_e, eta_ae, eta_eb
 
 
@@ -285,34 +287,39 @@ def eve_efficiency_profile(geom: LinkGeometry, cfg_sat: LidarConfig,
                            comm_beam: "BeamParams | None" = None) -> EveProfile:
     """Bound the eavesdropper at ``n_points`` evenly spaced z under
     simultaneous dual monitoring (:func:`dual_lidar_size_bound`), with the
-    efficiencies of :func:`eve_efficiencies` for the communication beam."""
+    efficiencies of :func:`eve_efficiencies` for the communication beam; with
+    an array of link lengths in ``geom``, one row of z per link."""
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     beam = comm_beam if comm_beam is not None else cfg_sat.beam
-    z = np.linspace(0.0, geom.total_range, n_points)
+    z = np.linspace(0.0, geom.total_range, n_points, axis=-1)
+    rows = replace(geom, total_range=np.expand_dims(geom.total_range, -1))
     r_e, eta_ae, eta_eb = eve_efficiencies(
-        z, lambda zi: dual_lidar_size_bound(zi, geom, cfg_sat, cfg_ground), geom, beam)
+        z, lambda zi, link: dual_lidar_size_bound(zi, link, cfg_sat, cfg_ground), rows, beam)
     return EveProfile(z=z, r_e=r_e, eta_ae=eta_ae, eta_eb=eta_eb)
 
 
-def slant_range(zenith_angle: float, altitude: float,
-                earth_radius: float = EARTH_RADIUS) -> float:
+def slant_range(zenith_angle, altitude: float, earth_radius: float = EARTH_RADIUS):
     """Line-of-sight distance to a satellite at ``altitude`` seen at
     ``zenith_angle`` from the ground: spherical-Earth geometry.
 
     d = sqrt((R + h)^2 - R^2 sin^2 theta) - R cos theta;  d(0) = h.
     """
-    if not 0.0 <= zenith_angle < math.pi / 2.0:
+    theta = np.asarray(zenith_angle, dtype=float)
+    if not np.all((0.0 <= theta) & (theta < math.pi / 2.0)):
         raise ValueError(f"zenith angle must lie in [0, pi/2), got {zenith_angle}")
     r = earth_radius
-    s = math.sin(zenith_angle)
-    return math.sqrt((r + altitude) ** 2 - r * r * s * s) - r * math.cos(zenith_angle)
+    s = np.sin(theta)
+    return _float_or_array(np.sqrt((r + altitude) ** 2 - r * r * s * s) - r * np.cos(theta))
 
 
-def atmospheric_extinction(zenith_angle: float, coefficient: float = 0.7) -> float:
+def atmospheric_extinction(zenith_angle, coefficient: float = 0.7):
     """One-way clear-air transmission exp(-beta sec(theta)) for a vertical
-    optical depth beta."""
-    return math.exp(-coefficient / math.cos(zenith_angle))
+    optical depth beta, at a float or an array of zenith angles."""
+    return _float_or_array(np.exp(-coefficient / np.cos(np.asarray(zenith_angle, dtype=float))))
+
+
+_BLOCK_LANES = 1 << 16  # (angle, z) lanes per elevation_sweep pass: a few MB
 
 
 @dataclass(frozen=True)
@@ -330,27 +337,29 @@ def elevation_sweep(altitude: float, cfg_sat: LidarConfig, cfg_ground: LidarConf
                     extinction_coefficient: float = 0.7,
                     detection_efficiency: float = 0.5,
                     optics_transmittance: float = 0.8) -> ElevationSweep:
-    """Repeat the dual-monitoring profile for each satellite position.
+    """The dual-monitoring profile at every satellite position.
 
     For every zenith angle the slant range replaces the link length; reported
     per angle are the profile maxima of eta_ae / eta_eb and the legitimate
     link's transmittance, both diffraction-only and including atmospheric
-    extinction plus fixed detection and receiver-optics losses.
+    extinction plus fixed detection and receiver-optics losses.  The angles
+    go through :func:`eve_efficiency_profile` one row each, in as few calls
+    as keep each within ``_BLOCK_LANES`` (angle, z) lanes of memory.
     """
     theta = np.asarray(theta_grid, dtype=float)
     beam = comm_beam if comm_beam is not None else cfg_sat.beam
-    d = np.array([slant_range(th, altitude) for th in theta.tolist()])
-    profiles = [eve_efficiency_profile(LinkGeometry(total_range=di, r_b=r_b),
+    d = slant_range(theta, altitude)
+    blocks = np.array_split(d, max(1, -(-d.size * profile_points // _BLOCK_LANES)))
+    profiles = [eve_efficiency_profile(LinkGeometry(total_range=block, r_b=r_b),
                                        cfg_sat, cfg_ground, profile_points, comm_beam=beam)
-                for di in d.tolist()]
-    extinction = np.array([atmospheric_extinction(th, extinction_coefficient)
-                           for th in theta.tolist()])
+                for block in blocks]
     diff = aperture_transmittance(r_b, beam_width(d, beam))
     return ElevationSweep(
         theta=theta, eta_ab_diffraction=diff,
-        max_eta_ae=np.array([prof.max_eta_ae for prof in profiles]),
-        max_eta_eb=np.array([prof.max_eta_eb for prof in profiles]),
-        eta_ab_effective=diff * extinction * detection_efficiency * optics_transmittance)
+        max_eta_ae=np.concatenate([prof.eta_ae.max(axis=-1) for prof in profiles]),
+        max_eta_eb=np.concatenate([prof.eta_eb.max(axis=-1) for prof in profiles]),
+        eta_ab_effective=diff * atmospheric_extinction(theta, extinction_coefficient)
+        * detection_efficiency * optics_transmittance)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,10 @@ given here or swept):
     [201] (<= MAX_PROFILE_POINTS), extinction_coefficient [0.7],
     detection_efficiency [0.5], optics_transmittance [0.8].
 
+In every CV mode v lies in (1, MAX_V]: 1e7 for ``cv-rr``, 1e77 for
+``cv-dr-m1``, 1e308 for ``cv-dr-m2`` (``satqkd.cv.MAX_V``, the largest
+decades at which the engine's rates hold to 1e-8 bits).
+
 Each mode is declared once, in ``_MODE_TABLE``, as one kind
 (:class:`_Kind`) per way its optional keys change what is evaluated: the
 worst case or a fixed bypass, a given or an optimised mu, a LIDAR or a
@@ -104,6 +108,7 @@ from .lidar import (
     radar_size_bound,
     reflectivity_threshold,
     sky_background_power,
+    slant_range,
 )
 
 #: metadata keys that legitimately differ between runs of the same file;
@@ -278,13 +283,25 @@ _BEAM_KEYS = {
 
 _APERTURE_KEYS = {"r_a": (_float, 0.15), "r_b": (_float, 0.5)}
 
+
+def _noise_floor(background: Callable, aperture: str) -> Callable:
+    """The default noise floor: the background through ``aperture``."""
+    def default(mode: str, p: dict) -> float:
+        try:
+            return background(p[aperture])
+        except OverflowError:
+            raise ScenarioError(f"[params] {aperture} = {p[aperture]} overflows the "
+                                "default noise floor") from None
+    return default
+
+
 _DUAL_LIDAR_KEYS = {
     "power_sat": (_float, 1.0),
     "power_ground": (_float, 1.0),
     "reflectivity": (_float, 0.1),
     "loss_factor": (_float, 0.25),
-    "noise_floor_sat": (_float, lambda mode, p: moonlight_background_power(p["r_a"])),
-    "noise_floor_ground": (_float, lambda mode, p: sky_background_power(p["r_b"])),
+    "noise_floor_sat": (_float, _noise_floor(moonlight_background_power, "r_a")),
+    "noise_floor_ground": (_float, _noise_floor(sky_background_power, "r_b")),
 }
 
 _RADAR_KEYS = {
@@ -332,13 +349,13 @@ def _check_elevation(sweep: SweepSpec, p: dict) -> None:
 # Engine objects at one point: their constructors check every range they hold
 # ---------------------------------------------------------------------------
 
-def _cv_objects(p: dict) -> "tuple[ChannelObservation, CvScenario]":
+def _cv_objects(mode: str, p: dict) -> "tuple[ChannelObservation, CvScenario]":
     """The observation and the hypothesis; the worst case's is the no-bypass one."""
     return (ChannelObservation(t_eq=p["t_eq"], xi=p["xi"], eta_d=p["eta_d"],
                                nu_el=p["nu_el"]),
             CvScenario(eta_ae=p["eta_ae"], eta_s=p.get("eta_s", 0.0),
                        eta_t=p.get("eta_t", 1.0), v=p["v"], beta=p["beta"],
-                       v_s=p.get("v_s", 1.0)))
+                       v_s=p.get("v_s", 1.0), mode=mode))
 
 
 def _dv_params(source: str, p: dict) -> DvParams:
@@ -388,6 +405,10 @@ def _profile_objects(monitor: Callable, p: dict) -> tuple:
 
 
 def _elevation_objects(p: dict) -> tuple:
+    """The beam and the two LIDARs; the link must not round to length 0."""
+    if not slant_range(math.radians(p["zenith_deg"]), p["altitude"]) > 0.0:
+        raise ScenarioError(f"[params] altitude = {p['altitude']} m rounds the slant range "
+                            f"at zenith_deg = {p['zenith_deg']} to 0")
     beam = _beam(p)
     return (beam, *_dual_lidars(p, beam))
 
@@ -485,15 +506,15 @@ def _evaluator_lidar_profile(spec: ScenarioSpec):
         columns = ("r_e", "eta_ae", "eta_eb")
 
         def cells(z):
-            return eve_efficiencies(z, lambda zi: radar_size_bound(total - zi, monitor),
-                                    geom, beam)
+            return eve_efficiencies(
+                z, lambda zi, link: radar_size_bound(link.total_range - zi, monitor), geom, beam)
     else:
         columns = ("r_e", "eta_ae", "eta_eb", "alpha_min_sat", "alpha_min_ground")
         cfg_sat, cfg_ground = monitor
 
         def cells(z):
             return eve_efficiencies(
-                z, lambda zi: dual_lidar_size_bound(zi, geom, cfg_sat, cfg_ground),
+                z, lambda zi, link: dual_lidar_size_bound(zi, link, cfg_sat, cfg_ground),
                 geom, beam) + (reflectivity_threshold(z, cfg_sat),
                                reflectivity_threshold(total - z, cfg_ground))
 
@@ -505,7 +526,7 @@ def _evaluator_lidar_profile(spec: ScenarioSpec):
 
 def _evaluator_lidar_elevation(spec: ScenarioSpec):
     p = spec.params
-    beam, cfg_sat, cfg_ground = spec.kind.build(p)
+    beam, cfg_sat, cfg_ground = spec.kind.build({**p, "zenith_deg": spec.sweep.start})
     columns = ("max_eta_ae", "max_eta_eb", "eta_ab_diffraction",
                "eta_ab_effective")
 
@@ -565,21 +586,24 @@ def _radar_bound(raw: dict, variable: str) -> bool:
     return source == "radar-ground"
 
 
-_CV_FIXED = _Kind(
-    {**_CV_KEYS, "v_s": (_float, 1.0), "eta_s": (_float, _REQUIRED),
-     "eta_t": (_float, _REQUIRED)},
-    _cv_objects, _evaluator_cv_arrays, when=_given("eta_s", "eta_t"))
-_CV_WORST = _Kind(
-    {**_CV_KEYS, "v_s": (_float, 1.0), "grid_points": (_int, 101),
-     "refine": (_bool, True)},
-    _cv_objects, _evaluator_cv_worst, _check_grid)
+def _cv_bypass_kinds(mode: str) -> "tuple[_Kind, _Kind]":
+    """cv-rr and cv-dr-m1: a fixed bypass hypothesis, or the worst case."""
+    build = partial(_cv_objects, mode)
+    return (_Kind({**_CV_KEYS, "v_s": (_float, 1.0), "eta_s": (_float, _REQUIRED),
+                   "eta_t": (_float, _REQUIRED)},
+                  build, _evaluator_cv_arrays, when=_given("eta_s", "eta_t")),
+            _Kind({**_CV_KEYS, "v_s": (_float, 1.0), "grid_points": (_int, 101),
+                   "refine": (_bool, True)},
+                  build, _evaluator_cv_worst, _check_grid))
+
+
 _PROFILE_KEYS = {"total_range": (_float, 500e3), **_APERTURE_KEYS, **_BEAM_KEYS}
 
 #: Every scenario mode, as its kinds: the first whose ``when`` holds is taken.
 _MODE_TABLE = {
-    "cv-rr": (_CV_FIXED, _CV_WORST),
-    "cv-dr-m1": (_CV_FIXED, _CV_WORST),
-    "cv-dr-m2": (_Kind(_CV_KEYS, _cv_objects, _evaluator_cv_arrays),),
+    "cv-rr": _cv_bypass_kinds("rr"),
+    "cv-dr-m1": _cv_bypass_kinds("dr-m1"),
+    "cv-dr-m2": (_Kind(_CV_KEYS, partial(_cv_objects, "dr-m2"), _evaluator_cv_arrays),),
     "dv-sps": (_Kind(_DV_KEYS, partial(_dv_params, "sps"), _evaluator_dv),),
     "dv-wcp": (_Kind({**_DV_KEYS, "mu": (_float, _REQUIRED)}, partial(_dv_params, "wcp"),
                      _evaluator_dv, when=_given("mu")),

@@ -10,6 +10,7 @@ import oracles
 from dense_gaussian import holevo_dr_m1, holevo_rr, partial_trace
 from satqkd.cv import (
     _ATTACK_REASONS,
+    MAX_V,
     AttackSolution,
     ChannelObservation,
     CvMode,
@@ -577,6 +578,9 @@ def test_worst_case_rejects_degenerate_grid():
     dict(eta_ae=0.5, eta_s=0.0, eta_t=1.0, v=1.0),
     dict(eta_ae=0.5, eta_s=0.0, eta_t=1.0, v=300.0, beta=0.0),
     dict(eta_ae=0.5, eta_s=0.0, eta_t=1.0, v=300.0, v_s=0.5),
+    dict(eta_ae=0.5, eta_s=0.0, eta_t=1.0, v=2e7, mode="rr"),  # above MAX_V
+    dict(eta_ae=0.5, eta_s=0.0, eta_t=1.0, v=1e78, mode=CvMode.DR_M1),
+    dict(eta_ae=0.5, eta_s=0.0, eta_t=1.0, v=1.7e308, mode="dr-m2"),
 ])
 def test_scenario_rejects_out_of_range(kwargs):
     with pytest.raises(ValueError):
@@ -593,3 +597,37 @@ def test_scenario_rejects_out_of_range(kwargs):
 def test_observation_rejects_out_of_range(kwargs):
     with pytest.raises(ValueError):
         ChannelObservation(**kwargs)
+
+
+@pytest.mark.parametrize("mode", ["rr", "dr-m1", "dr-m2"])
+def test_worst_case_rejects_a_source_variance_above_the_mode_bound(mode):
+    CvScenario(0.5, 0.0, 1.0, MAX_V[mode], mode=mode)
+    with pytest.raises(ValueError, match="v must be <="):
+        worst_case_rate(0.5, OBS_NOMINAL, mode, v=MAX_V[mode] * 2.0, grid_points=3)
+
+
+@pytest.mark.parametrize("mode, oracle", [("rr", oracles.mp_rate_rr),
+                                          ("dr-m1", oracles.mp_rate_dr_m1)])
+def test_rates_at_the_variance_bound_match_the_oracle(mode, oracle):
+    # MAX_V is the last decade at which the kernel stays within 1e-8 bits of
+    # the wide-precision rate; 20 seeded feasible hypotheses, on floats and
+    # as one array.
+    v = MAX_V[mode]
+    rng = np.random.default_rng(7)
+    lanes = []
+    while len(lanes) < 20:
+        eta_ae, t_eq, xi = 10.0 ** rng.uniform([-3.0, -4.0, -3.0], [0.0, -0.05, 0.0])
+        eta_t = rng.uniform()
+        obs = ChannelObservation(t_eq, xi)
+        eta_s = rng.uniform(0.0, min(1.0, max_bypass_transmissivity(eta_ae, eta_t, obs)))
+        if solve_attack(CvScenario(eta_ae, eta_s, eta_t, v), obs).feasible:
+            lanes.append((eta_ae, eta_s, eta_t, t_eq, xi))
+    cols = np.array(lanes).T
+    rates, _, feasible = rate_arrays(mode, eta_ae=cols[0], eta_s=cols[1], eta_t=cols[2],
+                                     t_eq=cols[3], xi=cols[4], v=v)
+    assert feasible.all()
+    for (eta_ae, eta_s, eta_t, t_eq, xi), lane in zip(lanes, rates.tolist()):
+        want = oracle(eta_ae, eta_s, eta_t, t_eq, xi, v, dps=60 + 2 * round(math.log10(v)))
+        got = key_rate_point(CvScenario(eta_ae, eta_s, eta_t, v, mode=mode),
+                             ChannelObservation(t_eq, xi), mode)
+        assert abs(got - want) <= 1e-8 and abs(lane - want) <= 1e-8

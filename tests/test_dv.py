@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from satqkd import dv
 from satqkd.dv import (
     DvObservables,
     DvParams,
@@ -359,13 +360,14 @@ SEARCH_LANES = [(1e-3, 1e-4), (1e-3, 3e-4), (1e-3, 5e-4), (1e-3, 7e-4), (1e-3, 8
 
 @pytest.mark.parametrize("mu_range", [(1e-4, 1e3), (2.0, 1e3)],
                          ids=["default", "peak-below-range"])
-def test_lockstep_search_matches_the_scalar_reference(mu_range):
+def test_lockstep_search_matches_the_scalar_reference(monkeypatch, mu_range):
     # The reference evaluates the same array kernel one point at a time, so
     # this checks the search alone.  From mu = 2 up, the eta_ae = 0.5 lane
     # falls from the first scan node on: its bracket holds the lower end.
+    monkeypatch.setattr(dv, "MU_RANGE", mu_range)
     eta_ch, eta_ae = (np.array(column) for column in zip(*SEARCH_LANES))
     link = {key: BASE[key] for key in ("eta_d", "p_dc", "e_d", "f", "q")}
-    mu, rate = optimize_mu_arrays(eta_ch=eta_ch, eta_ae=eta_ae, mu_range=mu_range, **link)
+    mu, rate = optimize_mu_arrays(eta_ch=eta_ch, eta_ae=eta_ae, **link)
     assert mu.shape == rate.shape == eta_ae.shape
     for i, (ch, ea) in enumerate(SEARCH_LANES):
         fields = dict(link, eta_ch=ch, eta_ae=ea)
@@ -380,15 +382,15 @@ def test_lockstep_search_matches_the_scalar_reference(mu_range):
         assert mu[7] == pytest.approx(2.0)  # the lower-end lane
 
 
-def test_lockstep_lanes_do_not_depend_on_each_other():
+def test_lockstep_lanes_do_not_depend_on_each_other(monkeypatch):
     # With the intensity capped at 780, the eta_ae = 7e-4 optimum (764.5)
     # lies in the last scan interval: its bracket is half as wide as the
     # interior ones and must stop after fewer steps.  1e-3 has no key.
+    monkeypatch.setattr(dv, "MU_RANGE", (1e-4, 780.0))
     eta_ae = np.array([7e-4, 5e-4, 8e-4, 1e-3])
-    fields = dict(BASE, mu_range=(1e-4, 780.0))
-    mu, rate = optimize_mu_arrays(eta_ae=eta_ae, **fields)
+    mu, rate = optimize_mu_arrays(eta_ae=eta_ae, **BASE)
     for i in range(eta_ae.size):
-        mu_i, rate_i = optimize_mu_arrays(eta_ae=eta_ae[i:i + 1], **fields)
+        mu_i, rate_i = optimize_mu_arrays(eta_ae=eta_ae[i:i + 1], **BASE)
         assert (mu_i[0], rate_i[0]) == (mu[i], rate[i])
 
 

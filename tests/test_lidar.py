@@ -236,7 +236,7 @@ def test_efficiency_convention_at_the_ends_and_for_unbounded_objects():
     geom = nominal_geometry()
     z = np.array([0.0, 1e5, 2e5, geom.total_range])
     r_e, eta_ae, eta_eb = eve_efficiencies(
-        z, lambda zi: np.where(zi < 1.5e5, 0.2, np.inf), geom, nominal_comm_beam())
+        z, lambda zi, link: np.where(zi < 1.5e5, 0.2, np.inf), geom, nominal_comm_beam())
     np.testing.assert_array_equal(r_e, [0.0, 0.2, np.inf, 0.0])
     assert eta_ae[0] == eta_eb[0] == eta_ae[3] == eta_eb[3] == 0.0
     assert eta_ae[2] == eta_eb[2] == 1.0
@@ -380,18 +380,28 @@ def test_slant_range_frozen_at_sixty_degrees():
 
 
 def test_slant_range_monotone_in_zenith_angle():
-    ds = [slant_range(t, 500e3) for t in np.linspace(0.0, 1.4, 20)]
+    theta = np.linspace(0.0, 1.4, 20)
+    ds = [slant_range(t, 500e3) for t in theta.tolist()]
+    assert all(type(d) is float for d in ds)
     assert all(b > a for a, b in zip(ds, ds[1:]))
+    np.testing.assert_array_equal(slant_range(theta, 500e3), ds)
 
 
 def test_slant_range_rejects_the_horizon():
     with pytest.raises(ValueError):
         slant_range(math.pi / 2.0, 500e3)
+    with pytest.raises(ValueError):
+        slant_range(np.array([0.0, math.pi / 2.0]), 500e3)
 
 
 def test_extinction_zenith_value_and_decay():
     assert atmospheric_extinction(0.0) == pytest.approx(math.exp(-0.7), rel=1e-12)
     assert atmospheric_extinction(1.0) < atmospheric_extinction(0.5) < atmospheric_extinction(0.0)
+    theta = np.linspace(0.0, 1.5, 31)
+    for beta in (0.7, 0.0, 2.5):
+        want = [atmospheric_extinction(t, beta) for t in theta.tolist()]
+        assert all(type(w) is float for w in want)
+        np.testing.assert_array_max_ulp(atmospheric_extinction(theta, beta), want, maxulp=1)
 
 
 def test_elevation_sweep_frozen_values():
@@ -406,12 +416,18 @@ def test_elevation_sweep_frozen_values():
 
 
 def test_elevation_sweep_zenith_matches_the_plain_profile():
-    sw = elevation_sweep(500e3, nominal_satellite_lidar(1.0), nominal_ground_lidar(1.0),
-                         [0.0])
-    prof = eve_efficiency_profile(nominal_geometry(500e3), nominal_satellite_lidar(1.0),
-                                  nominal_ground_lidar(1.0), 201)
-    assert sw.max_eta_ae[0] == pytest.approx(prof.max_eta_ae, rel=1e-12)
-    assert sw.max_eta_eb[0] == pytest.approx(prof.max_eta_eb, rel=1e-12)
+    # Every row is the plain profile at its angle's slant range, bit for bit;
+    # at zenith that is the altitude.  18 x 4001 lanes take two passes.
+    theta = np.radians(np.linspace(0.0, 85.0, 18))
+    sat, ground = nominal_satellite_lidar(1.0), nominal_ground_lidar(1.0)
+    for points in (201, 4001):
+        sw = elevation_sweep(500e3, sat, ground, theta, profile_points=points)
+        for i, th in enumerate(theta.tolist()):
+            prof = eve_efficiency_profile(LinkGeometry(slant_range(th, 500e3), 0.5), sat,
+                                          ground, points)
+            assert (sw.max_eta_ae[i], sw.max_eta_eb[i]) == (prof.max_eta_ae, prof.max_eta_eb)
+        zenith = eve_efficiency_profile(nominal_geometry(500e3), sat, ground, points)
+        assert (sw.max_eta_ae[0], sw.max_eta_eb[0]) == (zenith.max_eta_ae, zenith.max_eta_eb)
 
 
 def test_more_power_helps_most_at_low_elevation():

@@ -276,9 +276,19 @@ def loader_fuzz_text(mode, variable, start, stop, params):
 
 
 # Regressions: ranges only an engine constructor checks (the LIDAR loss
-# factor, the radar noise figure), dB values past a float's range, and a mu
-# sweep that the loader must accept.
+# factor, the radar noise figure, the CV source variance above its mode's
+# bound), dB values and noise-floor defaults past a float's range, an
+# altitude whose slant range rounds to 0, and a mu sweep that the loader must
+# accept.
+CV_WORST_KEYS = dict(t_eq=1e-3, xi=0.1, grid_points=21, refine="false")
 LOADER_DEFECTS = {
+    "cv-rr-worst-case-v-1e20": ("cv-rr", "eta_ae", 0.05, 0.5, dict(CV_WORST_KEYS, v=1e20)),
+    "cv-rr-fixed-v-1e300": ("cv-rr", "eta_ae", 0.05, 0.5,
+                            dict(t_eq=1e-3, xi=0.1, eta_s=0.05, eta_t=0.99, v=1e300)),
+    "lidar-elevation-altitude-1e-100": ("lidar-elevation", "zenith_deg", 0.0, 60.0,
+                                        {"altitude": 1e-100}),
+    "lidar-profile-r-a-1e200": ("lidar-profile", "z", 0.0, 5e5, {"r_a": 1e200}),
+    "lidar-elevation-r-b-1e200": ("lidar-elevation", "zenith_deg", 0.0, 60.0, {"r_b": 1e200}),
     "dv-wcp-mu-sweep": ("dv-wcp", "mu", 0.1, 1.0,
                         dict(eta_ch=1e-3, eta_d=0.9, p_dc=1e-7, e_d=0.01, f=1.16, q=1.0,
                              eta_ae=1e-4)),
@@ -304,6 +314,11 @@ LOADER_DEFECTS = {
 @example(LOADER_DEFECTS["radar-noise-figure-below-0-db"])
 @example(LOADER_DEFECTS["radar-noise-figure-overflow"])
 @example(LOADER_DEFECTS["radar-loss-overflow"])
+@example(LOADER_DEFECTS["cv-rr-worst-case-v-1e20"])
+@example(LOADER_DEFECTS["cv-rr-fixed-v-1e300"])
+@example(LOADER_DEFECTS["lidar-elevation-altitude-1e-100"])
+@example(LOADER_DEFECTS["lidar-profile-r-a-1e200"])
+@example(LOADER_DEFECTS["lidar-elevation-r-b-1e200"])
 def test_a_file_is_rejected_at_load_or_runs_with_finite_cells(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "case.ini")
@@ -331,7 +346,12 @@ def test_cli_defect_files_are_exit_one_or_run_clean(tmp_path, capsys, name):
         return
     field = {"radar-noise-figure-below-0-db": "noise_figure",
              "radar-noise-figure-overflow": "radar_noise_figure_db",
-             "radar-loss-overflow": "radar_loss_db"}.get(name, "loss_factor")
+             "radar-loss-overflow": "radar_loss_db",
+             "cv-rr-worst-case-v-1e20": "v must be <= 1e+07",
+             "cv-rr-fixed-v-1e300": "v must be <= 1e+07",
+             "lidar-elevation-altitude-1e-100": "altitude",
+             "lidar-profile-r-a-1e200": "r_a",
+             "lidar-elevation-r-b-1e200": "r_b"}.get(name, "loss_factor")
     for command in ("validate", "run"):
         assert cli.main([command, path]) == 1
         out, err = capsys.readouterr()
@@ -357,6 +377,27 @@ def test_shipped_scenarios_all_validate():
     for path in paths:
         spec = load_scenario(path)
         assert spec.mode
+
+
+def test_shipped_files_but_the_worst_cases_run_clean(capsys):
+    # The CV worst-case files take seconds each; the others run in well under
+    # one.  Each emits the same bytes at 1 and 4 threads, with no nan or -inf
+    # cell (+inf only as an unbounded r_e).
+    paths = [path for path in sorted(glob.glob(os.path.join(SHIPPED, "*.ini")))
+             if "grid_points" not in load_scenario(path).params]
+    assert len(paths) == 9
+    for path in paths:
+        outputs = []
+        for threads in ("1", "4"):
+            assert cli.main(["run", path, "--threads", threads]) == 0, path
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1], path
+        table = read_table(io.StringIO(outputs[0]))
+        assert table.rows, path
+        for row in table.rows:
+            for column, cell in zip(table.columns, row):
+                assert cell is None or math.isfinite(cell) \
+                    or (column, cell) == ("r_e", math.inf), (path, column, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +471,7 @@ FIELD_ROUTES = [
     (CvScenario, "v", CV_FIXED_BASE, "v = 250"),
     (CvScenario, "beta", CV_FIXED_BASE, "beta = 0.95"),
     (CvScenario, "v_s", CV_FIXED_BASE, "v_s = 1.5"),
+    (CvScenario, "mode", CV_FIXED_BASE, None),  # picked by the mode name
     (ChannelObservation, "t_eq", CV_FIXED_BASE, "t_eq = 1e-3"),
     (ChannelObservation, "xi", CV_FIXED_BASE, "xi = 0.1"),
     (ChannelObservation, "eta_d", CV_FIXED_BASE, "eta_d = 0.9"),
@@ -665,8 +707,9 @@ def test_radar_table_equals_the_kernel_on_its_grid(tmp_path):
     table = run_scenario(write(tmp_path, RADAR_BASE.replace("points = 2", "points = 23")))
     z = np.array([row[0] for row in table.rows])
     geom, radar = nominal_geometry(), nominal_radar()
-    want = eve_efficiencies(z, lambda zi: radar_size_bound(geom.total_range - zi, radar),
-                            geom, nominal_comm_beam())
+    want = eve_efficiencies(
+        z, lambda zi, link: radar_size_bound(link.total_range - zi, radar), geom,
+        nominal_comm_beam())
     got = np.array([row[1:] for row in table.rows], dtype=float)
     for k in range(3):
         np.testing.assert_array_equal(got[:, k], want[k])
