@@ -8,6 +8,7 @@ from .cv import (
     CvMode,
     CvScenario,
     InfeasibleAttackError,
+    UnphysicalStateError,
     WorstCaseResult,
     build_cm,
     holevo_dr_m2_bound,
@@ -27,7 +28,6 @@ from .dv import (
     photon_number_bounds,
     restricted_rate,
 )
-from .gaussian import UnphysicalStateError
 from .lidar import (
     BeamParams,
     ElevationSweep,

@@ -32,11 +32,15 @@ see :func:`worst_case_rate`.
 
 One attack solver (``_attack``), one closed-form Holevo kernel (``_chi``)
 and one mutual information run on Python floats and on NumPy arrays alike.
+The kernel sums g(nu), the entropy of a thermal mode, over the symplectic
+spectra of ``_nu_pair``: :func:`thermal_entropy` on arrays and
+:func:`thermal_entropy_float` on floats, both 0 for any nu below 1.
 :func:`solve_attack`, :func:`key_rate_point`, :func:`holevo_bound` and the
 worst-case polish evaluate one hypothesis on floats (``_FLOAT_OPS``);
 :func:`rate_arrays` is the one array entry point, behind the worst-case
 bypass grid and the scenario runner's fixed-hypothesis and DR-M2 sweeps.
-Each mode evaluates source variances up to ``MAX_V[mode]``.
+Each mode evaluates source variances up to ``MAX_V[mode]`` and excess
+noise up to ``MAX_XI[mode]``.
 """
 
 from __future__ import annotations
@@ -49,8 +53,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .gaussian import UnphysicalStateError, thermal_entropy, thermal_entropy_float
-
 # The NumPy functions the kernels call, for Python floats: the polish makes
 # ~1e5 calls per file.  Both branches of ``where`` are evaluated, as in NumPy.
 # maximum and minimum return what max and min do, at a third of their cost.
@@ -58,6 +60,8 @@ _FLOAT_OPS = SimpleNamespace(log2=math.log2, sqrt=math.sqrt,
                              maximum=lambda a, b: b if b > a else a,
                              minimum=lambda a, b: b if b < a else a,
                              where=lambda cond, a, b: a if cond else b)
+
+_LN2 = math.log(2.0)
 
 # Feasibility comparisons tolerate this much floating-point slack.
 _FEAS_TOL = 1e-12
@@ -83,6 +87,12 @@ _DEFAULT_V = {"rr": 300.0, "dr-m1": 1e7, "dr-m2": 1e7}
 #: cancels (1.4e-8 bits at 1e8), DR-M1 overflows from 1e78.
 MAX_V = {"rr": 1e7, "dr-m1": 1e77, "dr-m2": 1e308}
 
+#: The largest excess noise per mode, found the same way with v up to MAX_V,
+#: and where hypotheses whose bypass carries the light (eta_t down to 1e-12)
+#: stay finite: RR drifts (1.3e-7 bits at xi = 100 and v = 1e7), DR-M1
+#: overflows from 1e66, DR-M2 at 1e308.
+MAX_XI = {"rr": 10.0, "dr-m1": 1e65, "dr-m2": 1e307}
+
 
 class CvMode(str, Enum):
     """Which reconciliation direction / bounding technique to use."""
@@ -94,6 +104,10 @@ class CvMode(str, Enum):
 
 class InfeasibleAttackError(RuntimeError):
     """No attacker configuration reproduces the observed channel."""
+
+
+class UnphysicalStateError(ValueError):
+    """A covariance matrix (or derived quantity) violates the uncertainty bound."""
 
 
 @dataclass(frozen=True)
@@ -199,6 +213,11 @@ def max_bypass_transmissivity(eta_ae: float, eta_t: float, obs: ChannelObservati
     if denom <= 0.0:
         return math.inf
     return obs.t_channel / denom
+
+
+def _check_xi(mode: str, xi: float) -> None:
+    if not xi <= MAX_XI[mode]:
+        raise ValueError(f"xi must be <= {MAX_XI[mode]:g} in mode {mode}, got {xi}")
 
 
 def solve_attack(scenario: CvScenario, obs: ChannelObservation) -> AttackSolution:
@@ -348,6 +367,37 @@ def _dr_m2_chi(xp, entropy, eta_ae, v):
 # ---------------------------------------------------------------------------
 
 
+# Below this distance from 1 the thermal entropy is indistinguishable from 0
+# at double precision, and the exact expression degenerates to 0 * inf.
+_ENTROPY_CUTOFF = 1e-12
+
+
+def thermal_entropy(nu):
+    """g(nu), the entropy in bits of a thermal mode of symplectic eigenvalue
+    ``nu``, on NumPy arrays (:func:`thermal_entropy_float` on floats); 0 for
+    any nu below ``1 + 1e-12``, so spectra that round below 1 need no clamp.
+
+    Evaluated as ``log2((nu+1)/2) + ((nu-1)/2) log1p(2/(nu-1)) / ln 2``,
+    which keeps full relative precision up to nu ~ 1e20, where the textbook
+    ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2) cancels.
+    """
+    x = nu - 1.0
+    vacuum = x < _ENTROPY_CUTOFF
+    # Guard the log1p argument; masked-out lanes still get evaluated by where().
+    safe_x = np.where(vacuum, 1.0, x)
+    value = np.log2(0.5 * (nu + 1.0)) + 0.5 * safe_x * np.log1p(2.0 / safe_x) / _LN2
+    return np.where(vacuum, 0.0, value)
+
+
+def thermal_entropy_float(nu: float) -> float:
+    """:func:`thermal_entropy` for one Python float, in plain ``math``: the
+    polish makes a few calls per evaluation."""
+    x = nu - 1.0
+    if x < _ENTROPY_CUTOFF:
+        return 0.0
+    return math.log2(0.5 * (nu + 1.0)) + 0.5 * x * math.log1p(2.0 / x) / _LN2
+
+
 def _nu_pair(tr, root_det):
     """Symplectic eigenvalues (nu+, nu-) of a two-mode state with V = X (+) P.
 
@@ -368,7 +418,7 @@ def _chi(mode: CvMode, entropy, eta_ae, eta_e, v_e, eta_s, eta_t, v, t_ch, xi_rx
 
     Works on floats and on broadcastable arrays alike: only arithmetic,
     ``abs`` and ``** 0.5`` touch the inputs, and ``entropy`` is the g(nu) of
-    the matching type, clamped at nu = 1.
+    the matching type, 0 for any nu below 1.
 
     Every state here keeps x and p apart (the cross blocks are multiples of
     I and Z), so V = X (+) P, and the two symplectic eigenvalues follow from
@@ -419,10 +469,6 @@ def _chi(mode: CvMode, entropy, eta_ae, eta_e, v_e, eta_s, eta_t, v, t_ch, xi_rx
     return entropy(e_p) + entropy(e_m) - entropy(c_p) - entropy(c_m)
 
 
-def _entropy_arrays(nu):
-    return thermal_entropy(np.maximum(nu, 1.0))
-
-
 def rate_arrays(mode, *, eta_ae, t_eq, xi, eta_d=1.0, nu_el=0.0, v=None, beta=1.0,
                 v_s=1.0, eta_s=0.0, eta_t=1.0):
     """(rate, chi, feasible) over broadcastable arrays of the :class:`CvScenario`
@@ -441,12 +487,12 @@ def rate_arrays(mode, *, eta_ae, t_eq, xi, eta_d=1.0, nu_el=0.0, v=None, beta=1.
     # Infeasible lanes may be unphysical, or overflow on subnormal inputs.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         if mode is CvMode.DR_M2:
-            chi = _dr_m2_chi(np, _entropy_arrays, eta_ae, v)
+            chi = _dr_m2_chi(np, thermal_entropy, eta_ae, v)
             feasible = True
         else:
             xi_rx = t_ch * xi
             eta_e, v_e, code = _attack(np, eta_ae, eta_s, eta_t, t_ch, xi_rx, v_s)
-            chi = _chi(mode, _entropy_arrays, eta_ae, eta_e, v_e, eta_s, eta_t, v, t_ch, xi_rx)
+            chi = _chi(mode, thermal_entropy, eta_ae, eta_e, v_e, eta_s, eta_t, v, t_ch, xi_rx)
             feasible = code == 0
         rate = beta * _mutual_info(np, t_ch, xi, eta_d, nu_el, v) - chi
     return tuple(np.broadcast_arrays(rate, chi, feasible))
@@ -558,6 +604,7 @@ def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode, *,
         v = _DEFAULT_V[mode.value]
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    _check_xi(mode.value, obs.xi)
     nobypass = CvScenario(eta_ae, 0.0, 1.0, v, beta, v_s, mode.value)
     params = (eta_ae, v, beta, v_s)
 

@@ -14,7 +14,9 @@ an undetected object must sit below both size bounds.
 
 Every function of a range or an angle takes a float (and gives a float) or
 a NumPy array (and gives an array), so a profile along z, or one per zenith
-angle, is one array evaluation through :func:`eve_efficiencies`.
+angle, is one array evaluation through :func:`eve_efficiencies`.  The
+parameter classes reject values whose derived quantities (the Rayleigh
+range, the radar's squared gain) are not finite positive floats.
 
 Default constants not fixed by the optical model itself (albedos, sky
 radiance, field of view, filter bandwidth, radar system temperature) are
@@ -48,6 +50,20 @@ RADAR_REFERENCE_TEMP = 290.0  # K, noise-figure reference
 RADAR_ANTENNA_TEMP = 60.0     # K, cold-sky antenna temperature
 
 
+def finite_positive(what: str, compute) -> float:
+    """``compute()``, a quantity derived from the parameters, if it is a
+    finite positive float, else a ValueError naming ``what``; an overflow on
+    the way counts as infinite."""
+    try:
+        with np.errstate(all="ignore"):
+            value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be finite and positive, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class BeamParams:
     """Gaussian beam leaving a transmitter: waist = aperture radius."""
@@ -61,6 +77,8 @@ class BeamParams:
             raise ValueError("waist and wavelength must be positive")
         if self.quality < 1.0:
             raise ValueError(f"beam quality M^2 must be >= 1, got {self.quality}")
+        finite_positive(f"the Rayleigh range of waist = {self.waist} and wavelength = "
+                        f"{self.wavelength}", lambda: self.rayleigh_range)
 
     @property
     def rayleigh_range(self) -> float:
@@ -124,6 +142,9 @@ class RadarParams:
         if not 0.0 < self.aperture_efficiency <= 1.0:
             raise ValueError(f"aperture_efficiency must lie in (0, 1], got "
                              f"{self.aperture_efficiency}")
+        finite_positive(f"the squared gain of aperture_efficiency = {self.aperture_efficiency}, "
+                        f"antenna_radius = {self.antenna_radius} and wavelength = "
+                        f"{self.wavelength}", lambda: self.gain ** 2)
 
     @property
     def gain(self) -> float:
@@ -150,9 +171,11 @@ def beam_width(z, beam: BeamParams):
 
 def aperture_transmittance(rho, width):
     """Power fraction of a Gaussian beam of radius ``width`` through a centred
-    circular aperture of radius ``rho``: 1 - exp(-2 rho^2 / W^2)."""
+    circular aperture of radius ``rho``: 1 - exp(-2 rho^2 / W^2).  Where rho^2
+    or W^2 leaves a float's range the fraction is 0 or 1, as it rounds to."""
     rho = np.asarray(rho, dtype=float)
-    return _float_or_array(-np.expm1(-2.0 * rho * rho / np.asarray(width, dtype=float) ** 2))
+    with np.errstate(over="ignore", divide="ignore"):
+        return _float_or_array(-np.expm1(-2.0 * rho * rho / np.asarray(width, dtype=float) ** 2))
 
 
 def focused_beam_width(z, r_e, geom: LinkGeometry, wavelength: float):

@@ -49,8 +49,10 @@ given here or swept):
     detection_efficiency [0.5], optics_transmittance [0.8].
 
 In every CV mode v lies in (1, MAX_V]: 1e7 for ``cv-rr``, 1e77 for
-``cv-dr-m1``, 1e308 for ``cv-dr-m2`` (``satqkd.cv.MAX_V``, the largest
-decades at which the engine's rates hold to 1e-8 bits).
+``cv-dr-m1``, 1e308 for ``cv-dr-m2`` (``satqkd.cv.MAX_V``), and xi in
+[0, MAX_XI]: 10 for ``cv-rr``, 1e65 for ``cv-dr-m1``, 1e307 for
+``cv-dr-m2`` (``satqkd.cv.MAX_XI``).  These are the largest decades at
+which the engine's rates hold to 1e-8 bits.
 
 Each mode is declared once, in ``_MODE_TABLE``, as one kind
 (:class:`_Kind`) per way its optional keys change what is evaluated: the
@@ -58,7 +60,9 @@ worst case or a fixed bypass, a given or an optimised mu, a LIDAR or a
 radar bound.  A kind holds the key table, the checks no engine constructor
 makes, the builder of the engine objects and the evaluator.  The loader
 picks the kind once and builds the engine objects at both sweep ends, so
-every range their constructors check fails at load, not mid-run.
+every range their constructors check fails at load, not mid-run; so do the
+builders' checks that the link's derived optics (slant range, far-end beam
+width, radar cross-section bound) are finite positive floats.
 
 :func:`run_scenario` cuts the sweep into contiguous slices, one per worker;
 the kind's evaluator maps a slice of sweep values to its rows, as arrays
@@ -92,6 +96,7 @@ from .cv import (
     ChannelObservation,
     CvScenario,
     InfeasibleAttackError,
+    _check_xi,
     worst_case_rate,
 )
 from .cv import rate_arrays as cv_rate_arrays  # dv has a rate_arrays too
@@ -101,10 +106,13 @@ from .lidar import (
     LidarConfig,
     LinkGeometry,
     RadarParams,
+    beam_width,
     dual_lidar_size_bound,
     elevation_sweep,
     eve_efficiencies,
+    finite_positive,
     moonlight_background_power,
+    radar_cross_section_bound,
     radar_size_bound,
     reflectivity_threshold,
     sky_background_power,
@@ -288,10 +296,10 @@ def _noise_floor(background: Callable, aperture: str) -> Callable:
     """The default noise floor: the background through ``aperture``."""
     def default(mode: str, p: dict) -> float:
         try:
-            return background(p[aperture])
-        except OverflowError:
-            raise ScenarioError(f"[params] {aperture} = {p[aperture]} overflows the "
-                                "default noise floor") from None
+            return finite_positive(f"[params] the default noise floor of {aperture} = "
+                                   f"{p[aperture]}", lambda: background(p[aperture]))
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
     return default
 
 
@@ -351,6 +359,7 @@ def _check_elevation(sweep: SweepSpec, p: dict) -> None:
 
 def _cv_objects(mode: str, p: dict) -> "tuple[ChannelObservation, CvScenario]":
     """The observation and the hypothesis; the worst case's is the no-bypass one."""
+    _check_xi(mode, p["xi"])
     return (ChannelObservation(t_eq=p["t_eq"], xi=p["xi"], eta_d=p["eta_d"],
                                nu_el=p["nu_el"]),
             CvScenario(eta_ae=p["eta_ae"], eta_s=p.get("eta_s", 0.0),
@@ -387,7 +396,8 @@ def _linear(p: dict, key: str) -> float:
 
 
 def _radar(p: dict, beam: BeamParams) -> RadarParams:
-    return RadarParams(
+    """The radar; its cross-section bound must stay a float over the link."""
+    radar = RadarParams(
         transmit_power=p["radar_power"],
         antenna_radius=p["radar_antenna_radius"],
         wavelength=p["radar_wavelength"],
@@ -396,20 +406,33 @@ def _radar(p: dict, beam: BeamParams) -> RadarParams:
         loss_factor=_linear(p, "radar_loss_db"),
         aperture_efficiency=p["radar_aperture_efficiency"],
         antenna_temperature=p["radar_antenna_temp"])
+    finite_positive(f"[params] the radar cross-section bound at total_range = "
+                    f"{p['total_range']} m", lambda: radar_cross_section_bound(
+                        p["total_range"], radar))
+    return radar
+
+
+def _spot(beam: BeamParams, length: float, where: str) -> None:
+    """The beam must stay a float's width over the link."""
+    finite_positive(f"[params] the beam width of waist = {beam.waist}, wavelength = "
+                    f"{beam.wavelength} and quality = {beam.quality} at {where}",
+                    lambda: beam_width(length, beam))
 
 
 def _profile_objects(monitor: Callable, p: dict) -> tuple:
     """The communication beam, the link, and its monitor (the LIDARs or the radar)."""
     beam = _beam(p)
+    _spot(beam, p["total_range"], f"total_range = {p['total_range']} m")
     return beam, LinkGeometry(total_range=p["total_range"], r_b=p["r_b"]), monitor(p, beam)
 
 
 def _elevation_objects(p: dict) -> tuple:
-    """The beam and the two LIDARs; the link must not round to length 0."""
-    if not slant_range(math.radians(p["zenith_deg"]), p["altitude"]) > 0.0:
-        raise ScenarioError(f"[params] altitude = {p['altitude']} m rounds the slant range "
-                            f"at zenith_deg = {p['zenith_deg']} to 0")
+    """The beam and the two LIDARs; the link must be a positive float long."""
+    where = f"altitude = {p['altitude']} m and zenith_deg = {p['zenith_deg']}"
+    length = finite_positive(f"[params] the slant range at {where}", lambda: slant_range(
+        math.radians(p["zenith_deg"]), p["altitude"]))
     beam = _beam(p)
+    _spot(beam, length, where)
     return (beam, *_dual_lidars(p, beam))
 
 

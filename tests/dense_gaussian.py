@@ -10,7 +10,10 @@ transforms, partial trace, homodyne conditioning and symplectic spectra by
 eigendecomposition, and the reverse- and direct-reconciliation (method 1)
 Holevo bounds of a full 8x8 CM from ``satqkd.cv.build_cm``.  The package
 computes the same bounds in closed form (``satqkd.cv._chi``); only the
-thermal-state entropy g(nu) is shared with it.
+thermal-state entropy g(nu) (``satqkd.cv.thermal_entropy``) is shared with
+it.  The package counts any symplectic eigenvalue below 1 as the vacuum;
+this toolbox instead checks physicality, and raises
+:class:`UnphysicalStateError` below ``1 - floor_tol``.
 """
 
 from __future__ import annotations
@@ -19,13 +22,17 @@ import math
 
 import numpy as np
 
-from satqkd.gaussian import SYMPLECTIC_FLOOR_TOL, UnphysicalStateError, thermal_entropy
+from satqkd.cv import UnphysicalStateError, thermal_entropy
+
+# Symplectic eigenvalues this far below 1 are attributed to floating-point
+# noise and clamped to exactly 1; anything lower raises.
+SYMPLECTIC_FLOOR_TOL = 1e-9
 
 # The dense bounds (holevo_rr, holevo_dr_m1) condition large covariance
 # matrices, which cancels large like terms, so they accept symplectic
 # eigenvalues down to 1 - 1e-6 as numerical noise (the default of 1e-9 is
 # tuned for O(1) matrices).  The closed-form kernel behind the rates does not
-# cancel, and clamps its spectra at 1.
+# cancel, and counts any eigenvalue below 1 as the vacuum.
 _ENGINE_FLOOR_TOL = 1e-6
 
 

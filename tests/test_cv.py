@@ -11,6 +11,7 @@ from dense_gaussian import holevo_dr_m1, holevo_rr, partial_trace
 from satqkd.cv import (
     _ATTACK_REASONS,
     MAX_V,
+    MAX_XI,
     AttackSolution,
     ChannelObservation,
     CvMode,
@@ -606,28 +607,54 @@ def test_worst_case_rejects_a_source_variance_above_the_mode_bound(mode):
         worst_case_rate(0.5, OBS_NOMINAL, mode, v=MAX_V[mode] * 2.0, grid_points=3)
 
 
-@pytest.mark.parametrize("mode, oracle", [("rr", oracles.mp_rate_rr),
-                                          ("dr-m1", oracles.mp_rate_dr_m1)])
-def test_rates_at_the_variance_bound_match_the_oracle(mode, oracle):
-    # MAX_V is the last decade at which the kernel stays within 1e-8 bits of
-    # the wide-precision rate; 20 seeded feasible hypotheses, on floats and
-    # as one array.
-    v = MAX_V[mode]
+@pytest.mark.parametrize("mode", ["rr", "dr-m1", "dr-m2"])
+def test_worst_case_rejects_an_excess_noise_above_the_mode_bound(mode):
+    at_bound = worst_case_rate(0.5, ChannelObservation(1e-3, MAX_XI[mode]), mode,
+                               grid_points=3, refine=False)
+    assert math.isfinite(at_bound.rate)
+    with pytest.raises(ValueError, match="xi must be <="):
+        worst_case_rate(0.5, ChannelObservation(1e-3, MAX_XI[mode] * 10.0), mode,
+                        grid_points=3)
+
+
+def _rates_match_the_oracle(mode, oracle, v, xi=None):
+    """20 seeded feasible hypotheses at source variance ``v``, and at ``xi``
+    or an excess noise drawn in [1e-3, 1], within 1e-8 bits of the
+    wide-precision rate, on floats and as one array."""
     rng = np.random.default_rng(7)
     lanes = []
     while len(lanes) < 20:
-        eta_ae, t_eq, xi = 10.0 ** rng.uniform([-3.0, -4.0, -3.0], [0.0, -0.05, 0.0])
+        eta_ae, t_eq, drawn = 10.0 ** rng.uniform([-3.0, -4.0, -3.0], [0.0, -0.05, 0.0])
+        lane_xi = drawn if xi is None else xi
         eta_t = rng.uniform()
-        obs = ChannelObservation(t_eq, xi)
+        obs = ChannelObservation(t_eq, lane_xi)
         eta_s = rng.uniform(0.0, min(1.0, max_bypass_transmissivity(eta_ae, eta_t, obs)))
         if solve_attack(CvScenario(eta_ae, eta_s, eta_t, v), obs).feasible:
-            lanes.append((eta_ae, eta_s, eta_t, t_eq, xi))
+            lanes.append((eta_ae, eta_s, eta_t, t_eq, lane_xi))
     cols = np.array(lanes).T
     rates, _, feasible = rate_arrays(mode, eta_ae=cols[0], eta_s=cols[1], eta_t=cols[2],
                                      t_eq=cols[3], xi=cols[4], v=v)
     assert feasible.all()
-    for (eta_ae, eta_s, eta_t, t_eq, xi), lane in zip(lanes, rates.tolist()):
-        want = oracle(eta_ae, eta_s, eta_t, t_eq, xi, v, dps=60 + 2 * round(math.log10(v)))
+    for (eta_ae, eta_s, eta_t, t_eq, lane_xi), lane in zip(lanes, rates.tolist()):
+        digits = 60 + 2 * round(math.log10(v)) + 2 * max(round(math.log10(lane_xi)), 0)
+        want = oracle(eta_ae, eta_s, eta_t, t_eq, lane_xi, v, dps=digits)
         got = key_rate_point(CvScenario(eta_ae, eta_s, eta_t, v, mode=mode),
-                             ChannelObservation(t_eq, xi), mode)
+                             ChannelObservation(t_eq, lane_xi), mode)
         assert abs(got - want) <= 1e-8 and abs(lane - want) <= 1e-8
+
+
+@pytest.mark.parametrize("mode, oracle", [("rr", oracles.mp_rate_rr),
+                                          ("dr-m1", oracles.mp_rate_dr_m1)])
+def test_rates_at_the_variance_bound_match_the_oracle(mode, oracle):
+    # MAX_V is the last decade at which the kernel stays within 1e-8 bits of
+    # the wide-precision rate.
+    _rates_match_the_oracle(mode, oracle, MAX_V[mode])
+
+
+@pytest.mark.parametrize("mode, oracle", [("rr", oracles.mp_rate_rr),
+                                          ("dr-m1", oracles.mp_rate_dr_m1)])
+def test_rates_at_both_bounds_match_the_oracle(mode, oracle):
+    # MAX_XI is the last decade of xi at which the same holds, with v up to
+    # MAX_V; RR misses by 1.3e-7 bits at xi = 100, and DR-M1 overflows from
+    # 1e66 where the bypass carries the light.
+    _rates_match_the_oracle(mode, oracle, MAX_V[mode], MAX_XI[mode])

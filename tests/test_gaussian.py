@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from dense_gaussian import (
+    SYMPLECTIC_FLOOR_TOL,
     apply_symplectic,
     beamsplitter_symplectic,
     condition_on_homodyne,
@@ -20,7 +21,7 @@ from dense_gaussian import (
     vacuum_cm,
     von_neumann_entropy,
 )
-from satqkd.gaussian import SYMPLECTIC_FLOOR_TOL, UnphysicalStateError, thermal_entropy
+from satqkd.cv import UnphysicalStateError, thermal_entropy, thermal_entropy_float
 
 RNG = np.random.default_rng(20240817)
 
@@ -75,6 +76,20 @@ def test_entropy_flat_just_above_one():
     # Below the cutoff the value snaps to exactly zero instead of evaluating
     # log(x) * x -> 0 limits in floating point.
     assert thermal_entropy(1.0 + 1e-13) == 0.0
+
+
+def test_array_and_float_entropy_agree():
+    # The array g serves the grid and the sweeps, the float g the polish and
+    # single hypotheses: one function, one vacuum contract, no floor check.
+    band = 1.0 + np.linspace(-1e-9, 0.999e-12, 201)  # nu <= 1 + 1e-12
+    nus = np.concatenate([np.geomspace(1.0 - 1e-9, 1e20, 2001),
+                          1.0 + np.geomspace(1e-12, 1e20, 2001), band])
+    arr = thermal_entropy(nus)
+    flt = np.array([thermal_entropy_float(nu) for nu in nus.tolist()])
+    vacuum = nus - 1.0 <= 1e-12  # exact near 1; no double lies at 1 + 1e-12
+    assert np.all(arr[vacuum] == 0.0) and np.all(flt[vacuum] == 0.0)
+    assert np.all(flt[~vacuum] > 0.0)
+    np.testing.assert_allclose(arr, flt, rtol=1e-15, atol=0.0)
 
 
 def test_entropy_monotone_and_convex_on_grid():

@@ -1,6 +1,7 @@
 """Optical/radar monitoring bounds: beam optics, size limits, link profiles."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +74,27 @@ def test_aperture_transmittance_limits():
     rho = np.linspace(0.0, 3.0, 50)
     eta = aperture_transmittance(rho, 2.5)
     assert np.all(np.diff(eta) > 0.0)
+
+
+@pytest.mark.parametrize("waist, wavelength", [(1e200, 8e-7), (1e-200, 8e-7), (0.15, 1e-320)])
+def test_beam_params_reject_a_rayleigh_range_out_of_float_range(waist, wavelength):
+    with pytest.raises(ValueError, match="Rayleigh range of waist"):
+        BeamParams(waist=waist, wavelength=wavelength)
+
+
+@pytest.mark.parametrize("field, value", [("antenna_radius", 1e200), ("antenna_radius", 1e-200),
+                                          ("wavelength", 1e-200), ("wavelength", 1e100)])
+def test_radar_rejects_a_squared_gain_out_of_float_range(field, value):
+    with pytest.raises(ValueError, match=f"squared gain of .*{field} = {re.escape(str(value))}"):
+        replace(nominal_radar(), **{field: value})
+
+
+def test_aperture_transmittance_saturates_out_of_float_range():
+    # rho^2 or W^2 overflows or underflows: the fraction rounds to 0 or 1,
+    # with no floating-point warning (tests turn those into errors).
+    assert aperture_transmittance(0.5, 1e160) == 0.0
+    assert aperture_transmittance(1e160, 0.5) == 1.0
+    assert aperture_transmittance(0.5, 1e-170) == 1.0
 
 
 def test_diffraction_only_link_transmittance():

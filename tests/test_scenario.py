@@ -276,15 +276,19 @@ def loader_fuzz_text(mode, variable, start, stop, params):
 
 
 # Regressions: ranges only an engine constructor checks (the LIDAR loss
-# factor, the radar noise figure, the CV source variance above its mode's
-# bound), dB values and noise-floor defaults past a float's range, an
-# altitude whose slant range rounds to 0, and a mu sweep that the loader must
-# accept.
+# factor, the radar noise figure, the CV source variance and excess noise
+# above their mode's bounds), dB values and noise-floor defaults past a
+# float's range, an altitude whose slant range rounds to 0, and a mu sweep
+# that the loader must accept.
 CV_WORST_KEYS = dict(t_eq=1e-3, xi=0.1, grid_points=21, refine="false")
 LOADER_DEFECTS = {
     "cv-rr-worst-case-v-1e20": ("cv-rr", "eta_ae", 0.05, 0.5, dict(CV_WORST_KEYS, v=1e20)),
     "cv-rr-fixed-v-1e300": ("cv-rr", "eta_ae", 0.05, 0.5,
                             dict(t_eq=1e-3, xi=0.1, eta_s=0.05, eta_t=0.99, v=1e300)),
+    # A default search (grid and polish) once crashed here mid-run.
+    "cv-rr-worst-case-xi-1e20": ("cv-rr", "eta_ae", 0.05, 0.5, dict(t_eq=1e-3, xi=1e20)),
+    "cv-rr-fixed-xi-1e200": ("cv-rr", "eta_ae", 0.05, 0.5,
+                             dict(t_eq=1e-3, xi=1e200, eta_s=0.05, eta_t=0.99)),
     "lidar-elevation-altitude-1e-100": ("lidar-elevation", "zenith_deg", 0.0, 60.0,
                                         {"altitude": 1e-100}),
     "lidar-profile-r-a-1e200": ("lidar-profile", "z", 0.0, 5e5, {"r_a": 1e200}),
@@ -316,6 +320,8 @@ LOADER_DEFECTS = {
 @example(LOADER_DEFECTS["radar-loss-overflow"])
 @example(LOADER_DEFECTS["cv-rr-worst-case-v-1e20"])
 @example(LOADER_DEFECTS["cv-rr-fixed-v-1e300"])
+@example(LOADER_DEFECTS["cv-rr-worst-case-xi-1e20"])
+@example(LOADER_DEFECTS["cv-rr-fixed-xi-1e200"])
 @example(LOADER_DEFECTS["lidar-elevation-altitude-1e-100"])
 @example(LOADER_DEFECTS["lidar-profile-r-a-1e200"])
 @example(LOADER_DEFECTS["lidar-elevation-r-b-1e200"])
@@ -349,6 +355,8 @@ def test_cli_defect_files_are_exit_one_or_run_clean(tmp_path, capsys, name):
              "radar-loss-overflow": "radar_loss_db",
              "cv-rr-worst-case-v-1e20": "v must be <= 1e+07",
              "cv-rr-fixed-v-1e300": "v must be <= 1e+07",
+             "cv-rr-worst-case-xi-1e20": "xi must be <= 10",
+             "cv-rr-fixed-xi-1e200": "xi must be <= 10",
              "lidar-elevation-altitude-1e-100": "altitude",
              "lidar-profile-r-a-1e200": "r_a",
              "lidar-elevation-r-b-1e200": "r_b"}.get(name, "loss_factor")
@@ -356,6 +364,72 @@ def test_cli_defect_files_are_exit_one_or_run_clean(tmp_path, capsys, name):
         assert cli.main([command, path]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and field in err
+
+
+# Every numeric key of each loader-fuzz file, and of a fixed-hypothesis
+# cv-rr, a fixed-hypothesis cv-dr-m1 and a cv-dr-m2 file, set alone to an
+# extreme magnitude.  The CV worst-case kinds are left to the pinned xi files
+# above: their polish takes ~60 ms a point.
+CV_FIXED_KEYS = dict(t_eq=1e-3, xi=0.1, eta_d=1.0, nu_el=0.0, eta_ae=0.1, beta=1.0)
+EXTREME_FILES = {
+    **LOADER_FUZZ_FILES,
+    "cv-rr-fixed": ("cv-rr", None, dict(CV_FIXED_KEYS, v=300.0, v_s=1.0, eta_s=0.05,
+                                        eta_t=0.99)),
+    "cv-dr-m1-fixed": ("cv-dr-m1", None, dict(CV_FIXED_KEYS, v=1e7, v_s=1.0, eta_s=0.05,
+                                              eta_t=0.99)),
+    "cv-dr-m2": ("cv-dr-m2", None, dict(CV_FIXED_KEYS, v=1e7)),
+}
+
+
+def extreme_magnitude_files(name):
+    """(key, magnitude, file text) for each key of ``EXTREME_FILES[name]``
+    set alone to 1e-200, 1e-100, 1e100 and 1e200.  DV and CV files give
+    every key and sweep eta_ae (eta_ch or xi when eta_ae is the one set);
+    the others give that key alone, like the loader fuzz."""
+    mode, axis, defaults = EXTREME_FILES[name]
+    dv = mode.startswith("dv-")
+    for key in sorted(defaults):
+        for magnitude in (1e-200, 1e-100, 1e100, 1e200):
+            params = {key: magnitude}
+            if axis is None:
+                variable = "eta_ae" if key != "eta_ae" else ("eta_ch" if dv else "xi")
+                sweep = (variable, 1e-4, 1e-2) if dv else (variable, 0.05, 0.5)
+                params = {k: v for k, v in {**defaults, **params}.items() if k != variable}
+            else:
+                sweep = axis
+            if name == "radar":
+                params["bound_source"] = "radar-ground"
+            yield key, magnitude, loader_fuzz_text(mode, *sweep, params)
+
+
+@pytest.mark.parametrize("name", sorted(EXTREME_FILES))
+def test_extreme_magnitudes_are_rejected_at_load_or_run_clean(tmp_path, name):
+    # Rejected with the key named (a radar key may drop its "radar_" prefix,
+    # as the RadarParams field does), or run to finite cells (+inf only in
+    # r_e), or infeasible at every point, the documented runtime failure.
+    failures = []
+    for key, magnitude, text in extreme_magnitude_files(name):
+        path = write(tmp_path, text)
+        case = f"{key}={magnitude:g}"
+        try:
+            load_scenario(path)
+        except ScenarioError as exc:
+            if key.removeprefix("radar_") not in str(exc):
+                failures.append((case, str(exc)))
+            continue
+        try:
+            table = run_scenario(path)
+        except InfeasibleAttackError as exc:
+            assert "every point" in str(exc) and "infeasible" in str(exc), (case, exc)
+            continue
+        except Exception as exc:  # noqa: BLE001 - every mid-run failure is one
+            failures.append((case, repr(exc)))
+            continue
+        bad = [(column, cell) for row in table.rows for column, cell in zip(table.columns, row)
+               if not (cell is None or math.isfinite(cell) or (column, cell) == ("r_e", math.inf))]
+        if bad:
+            failures.append((case, bad[:3]))
+    assert not failures, failures
 
 
 def test_every_mode_key_is_documented():
