@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .cv import (
     AttackSolution,
     ChannelObservation,
-    CvMode,
     CvScenario,
     InfeasibleAttackError,
     UnphysicalStateError,
@@ -52,7 +51,7 @@ from .scenario import (
 )
 
 __all__ = [
-    "AttackSolution", "BeamParams", "ChannelObservation", "CvMode", "CvScenario",
+    "AttackSolution", "BeamParams", "ChannelObservation", "CvScenario",
     "DvObservables", "DvParams", "ElevationSweep", "EveProfile",
     "InfeasibleAttackError", "LidarConfig", "LinkGeometry", "MuOptimum",
     "RadarParams", "ResultTable", "ScenarioError", "ScenarioSpec", "SweepSpec",

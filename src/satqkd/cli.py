@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import __version__
-from .scenario import ScenarioError, emit, load_scenario, run_scenario
+from .scenario import MAX_THREADS, ScenarioError, emit, load_scenario, run_scenario
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 1
@@ -34,8 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("csv", "tsv"), default="csv",
                      help="output delimiter (default: csv)")
     run.add_argument("--threads", type=int, default=1, metavar="N",
-                     help="worker threads for the sweep (default: 1); "
-                          "output is identical for any N")
+                     help=f"worker threads for the sweep, 1 to {MAX_THREADS} "
+                          "(default: 1); output is identical for any N")
 
     validate = sub.add_parser("validate",
                               help="parse and validate without running")

@@ -39,8 +39,8 @@ spectra of ``_nu_pair``: :func:`thermal_entropy` on arrays and
 worst-case polish evaluate one hypothesis on floats (``_FLOAT_OPS``);
 :func:`rate_arrays` is the one array entry point, behind the worst-case
 bypass grid and the scenario runner's fixed-hypothesis and DR-M2 sweeps.
-Each mode evaluates source variances up to ``MAX_V[mode]`` and excess
-noise up to ``MAX_XI[mode]``.
+A mode is one of the strings ``"rr"``, ``"dr-m1"``, ``"dr-m2"``: the keys of
+``MAX_V`` and ``MAX_XI``, which every entry point checks (:func:`checked_v`).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,12 +93,19 @@ MAX_V = {"rr": 1e7, "dr-m1": 1e77, "dr-m2": 1e308}
 MAX_XI = {"rr": 10.0, "dr-m1": 1e65, "dr-m2": 1e307}
 
 
-class CvMode(str, Enum):
-    """Which reconciliation direction / bounding technique to use."""
-
-    RR = "rr"
-    DR_M1 = "dr-m1"
-    DR_M2 = "dr-m2"
+def checked_v(mode: str, v, xi):
+    """``v``, or ``mode``'s default source variance if None.  Raises
+    ValueError for an unknown mode, and for a v or an xi (in any lane of an
+    array) above ``MAX_V[mode]`` or ``MAX_XI[mode]``."""
+    if mode not in MAX_V:
+        raise ValueError(f"mode must be one of {', '.join(MAX_V)}, got {mode!r}")
+    if v is None:
+        v = _DEFAULT_V[mode]
+    if not np.all(v <= MAX_V[mode]):
+        raise ValueError(f"v must be <= {MAX_V[mode]:g} in mode {mode}, got {v}")
+    if not np.all(xi <= MAX_XI[mode]):
+        raise ValueError(f"xi must be <= {MAX_XI[mode]:g} in mode {mode}, got {xi}")
+    return v
 
 
 class InfeasibleAttackError(RuntimeError):
@@ -120,7 +126,6 @@ class CvScenario:
     v      : variance of Alice's two-mode squeezed source, > 1 (shot-noise units)
     beta   : reconciliation efficiency, (0, 1]
     v_s    : variance of the environment mode entering the combiner, >= 1
-    mode   : the :class:`CvMode` to evaluate in, if given; v <= MAX_V[mode]
     """
 
     eta_ae: float
@@ -129,7 +134,6 @@ class CvScenario:
     v: float
     beta: float = 1.0
     v_s: float = 1.0
-    mode: "str | None" = None
 
     def __post_init__(self):
         for name in ("eta_ae", "eta_s", "eta_t"):
@@ -138,10 +142,6 @@ class CvScenario:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
         if not self.v > 1.0:
             raise ValueError(f"v must be > 1, got {self.v}")
-        if self.mode is not None:
-            mode = CvMode(self.mode).value
-            if not self.v <= MAX_V[mode]:
-                raise ValueError(f"v must be <= {MAX_V[mode]:g} in mode {mode}, got {self.v}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
         if self.v_s < 1.0:
@@ -213,11 +213,6 @@ def max_bypass_transmissivity(eta_ae: float, eta_t: float, obs: ChannelObservati
     if denom <= 0.0:
         return math.inf
     return obs.t_channel / denom
-
-
-def _check_xi(mode: str, xi: float) -> None:
-    if not xi <= MAX_XI[mode]:
-        raise ValueError(f"xi must be <= {MAX_XI[mode]:g} in mode {mode}, got {xi}")
 
 
 def solve_attack(scenario: CvScenario, obs: ChannelObservation) -> AttackSolution:
@@ -413,7 +408,7 @@ def _nu_pair(tr, root_det):
     return nu_p, root_det / nu_p
 
 
-def _chi(mode: CvMode, entropy, eta_ae, eta_e, v_e, eta_s, eta_t, v, t_ch, xi_rx):
+def _chi(mode: str, entropy, eta_ae, eta_e, v_e, eta_s, eta_t, v, t_ch, xi_rx):
     """Holevo bound from closed-form covariance entries and symplectic spectra.
 
     Works on floats and on broadcastable arrays alike: only arithmetic,
@@ -451,8 +446,6 @@ def _chi(mode: CvMode, entropy, eta_ae, eta_e, v_e, eta_s, eta_t, v, t_ch, xi_rx
     det_e = refl * v_e * w + eta_e
     gap = refl * (v_e - w)
     tr_e = gap * gap + 2.0 * det_e
-    # CvMode is a str Enum, compared by value: looking up CvMode.RR costs ~2%
-    # of a float evaluation, and the polish makes ~1e5 of them per file.
     if mode == "rr":
         v_b = t_ch * (v - 1.0) + 1.0 + xi_rx
         p, q, c, v_e_out = _eve_entries(eta_ae, eta_e, v_e, eta_s, eta_t, v, w)
@@ -469,7 +462,7 @@ def _chi(mode: CvMode, entropy, eta_ae, eta_e, v_e, eta_s, eta_t, v, t_ch, xi_rx
     return entropy(e_p) + entropy(e_m) - entropy(c_p) - entropy(c_m)
 
 
-def rate_arrays(mode, *, eta_ae, t_eq, xi, eta_d=1.0, nu_el=0.0, v=None, beta=1.0,
+def rate_arrays(mode: str, *, eta_ae, t_eq, xi, eta_d=1.0, nu_el=0.0, v=None, beta=1.0,
                 v_s=1.0, eta_s=0.0, eta_t=1.0):
     """(rate, chi, feasible) over broadcastable arrays of the :class:`CvScenario`
     and :class:`ChannelObservation` fields, one lane per hypothesis.
@@ -477,16 +470,15 @@ def rate_arrays(mode, *, eta_ae, t_eq, xi, eta_d=1.0, nu_el=0.0, v=None, beta=1.
     Each lane is :func:`key_rate_point`, :func:`holevo_bound` and
     ``solve_attack(...).feasible`` at its fields; rate and chi of an
     infeasible lane mean nothing.  DR-M2 ignores the bypass split and ``v_s``
-    and is feasible everywhere.  The caller validates the fields (the
-    scenario runner probes both sweep ends).
+    and is feasible everywhere.  :func:`checked_v` checks the mode and every
+    lane's v and xi; the caller validates the other fields (the scenario
+    runner probes both sweep ends).
     """
-    mode = CvMode(mode)
-    if v is None:
-        v = _DEFAULT_V[mode.value]
+    v = checked_v(mode, v, xi)
     t_ch = np.minimum(t_eq / eta_d, 1.0)
     # Infeasible lanes may be unphysical, or overflow on subnormal inputs.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        if mode is CvMode.DR_M2:
+        if mode == "dr-m2":
             chi = _dr_m2_chi(np, thermal_entropy, eta_ae, v)
             feasible = True
         else:
@@ -560,21 +552,21 @@ def _ceiling_minimum(objective, eta_ae: float, obs: ChannelObservation):
     return rate, eta_s, eta_t
 
 
-def key_rate_point(scenario: CvScenario, obs: ChannelObservation, mode) -> float:
+def key_rate_point(scenario: CvScenario, obs: ChannelObservation, mode: str) -> float:
     """Asymptotic secret-key rate (bits/use) at a fixed bypass hypothesis.
 
     Raises :class:`InfeasibleAttackError` when no attack reproduces the
-    observation at this scenario's (eta_s, eta_t).
+    observation at this scenario's (eta_s, eta_t); :func:`holevo_bound`
+    checks the mode, v and xi.
     """
-    mode = CvMode(mode)
     i_ab = mutual_info(obs, scenario.v)
     return scenario.beta * i_ab - holevo_bound(scenario, obs, mode)
 
 
-def holevo_bound(scenario: CvScenario, obs: ChannelObservation, mode) -> float:
+def holevo_bound(scenario: CvScenario, obs: ChannelObservation, mode: str) -> float:
     """Eve's Holevo information at a fixed bypass hypothesis (diagnostic)."""
-    mode = CvMode(mode)
-    if mode is CvMode.DR_M2:
+    checked_v(mode, scenario.v, obs.xi)
+    if mode == "dr-m2":
         return holevo_dr_m2_bound(scenario.eta_ae, scenario.v)
     attack = solve_attack(scenario, obs)
     if not attack.feasible:
@@ -584,7 +576,7 @@ def holevo_bound(scenario: CvScenario, obs: ChannelObservation, mode) -> float:
                       scenario.eta_s, scenario.eta_t, scenario.v, t_ch, t_ch * obs.xi))
 
 
-def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode, *,
+def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode: str, *,
                     grid_points: int = 101, v: "float | None" = None,
                     beta: float = 1.0, v_s: float = 1.0,
                     refine: bool = True) -> WorstCaseResult:
@@ -599,13 +591,10 @@ def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode, *,
 
     Raises :class:`InfeasibleAttackError` if no grid point admits an attack.
     """
-    mode = CvMode(mode)
-    if v is None:
-        v = _DEFAULT_V[mode.value]
+    v = checked_v(mode, v, obs.xi)
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    _check_xi(mode.value, obs.xi)
-    nobypass = CvScenario(eta_ae, 0.0, 1.0, v, beta, v_s, mode.value)
+    nobypass = CvScenario(eta_ae, 0.0, 1.0, v, beta, v_s)
     params = (eta_ae, v, beta, v_s)
 
     def rate_nobypass():
@@ -614,7 +603,7 @@ def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode, *,
         except InfeasibleAttackError:
             return None
 
-    if mode is CvMode.DR_M2:
+    if mode == "dr-m2":
         rate = key_rate_point(nobypass, obs, mode)
         return WorstCaseResult(rate, 0.0, 1.0, rate, grid_points * grid_points)
 
@@ -656,7 +645,7 @@ def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode, *,
 
     nb = rate_nobypass()
 
-    if mode is CvMode.RR and nb is not None and best_rate < nb - 1e-9:
+    if mode == "rr" and nb is not None and best_rate < nb - 1e-9:
         # Only meaningful when the bypass actually hurts: on the flat part of
         # the landscape (rate == no-bypass rate) the argmin location is noise.
         ceiling = min(1.0, max_bypass_transmissivity(eta_ae, best_t, obs))

@@ -48,11 +48,12 @@ given here or swept):
     [201] (<= MAX_PROFILE_POINTS), extinction_coefficient [0.7],
     detection_efficiency [0.5], optics_transmittance [0.8].
 
-In every CV mode v lies in (1, MAX_V]: 1e7 for ``cv-rr``, 1e77 for
-``cv-dr-m1``, 1e308 for ``cv-dr-m2`` (``satqkd.cv.MAX_V``), and xi in
-[0, MAX_XI]: 10 for ``cv-rr``, 1e65 for ``cv-dr-m1``, 1e307 for
-``cv-dr-m2`` (``satqkd.cv.MAX_XI``).  These are the largest decades at
-which the engine's rates hold to 1e-8 bits.
+``cv-X`` evaluates the engine mode ``"X"``, where v lies in (1, MAX_V]:
+1e7 for ``cv-rr``, 1e77 for ``cv-dr-m1``, 1e308 for ``cv-dr-m2``
+(``satqkd.cv.MAX_V``), and xi in [0, MAX_XI]: 10, 1e65 and 1e307
+(``satqkd.cv.MAX_XI``), the largest decades at which the engine's rates
+hold to 1e-8 bits.  ``satqkd.cv.checked_v`` checks both, at load as at
+every CV entry point.
 
 Each mode is declared once, in ``_MODE_TABLE``, as one kind
 (:class:`_Kind`) per way its optional keys change what is evaluated: the
@@ -96,7 +97,7 @@ from .cv import (
     ChannelObservation,
     CvScenario,
     InfeasibleAttackError,
-    _check_xi,
+    checked_v,
     worst_case_rate,
 )
 from .cv import rate_arrays as cv_rate_arrays  # dv has a rate_arrays too
@@ -128,6 +129,10 @@ VOLATILE_METADATA = ("wall_time_s", "threads")
 #: One table row and one engine evaluation per point (a CV worst-case row
 #: takes ~0.05 s); 20x the largest sweep in use (5000).
 MAX_SWEEP_POINTS = 100_000
+#: run_scenario starts one thread per slice, up to one per sweep point.  The
+#: slices are GIL-bound Python and NumPy that gain little past a few cores,
+#: and 100,000 points must not mean 100,000 OS threads.
+MAX_THREADS = 64
 #: lidar-elevation rows evaluate arrays this long; 500x the default 201.
 MAX_PROFILE_POINTS = 100_000
 #: The worst-case search holds a few dozen arrays of grid_points^2 bypass
@@ -359,12 +364,12 @@ def _check_elevation(sweep: SweepSpec, p: dict) -> None:
 
 def _cv_objects(mode: str, p: dict) -> "tuple[ChannelObservation, CvScenario]":
     """The observation and the hypothesis; the worst case's is the no-bypass one."""
-    _check_xi(mode, p["xi"])
+    checked_v(mode, p["v"], p["xi"])
     return (ChannelObservation(t_eq=p["t_eq"], xi=p["xi"], eta_d=p["eta_d"],
                                nu_el=p["nu_el"]),
             CvScenario(eta_ae=p["eta_ae"], eta_s=p.get("eta_s", 0.0),
                        eta_t=p.get("eta_t", 1.0), v=p["v"], beta=p["beta"],
-                       v_s=p.get("v_s", 1.0), mode=mode))
+                       v_s=p.get("v_s", 1.0)))
 
 
 def _dv_params(source: str, p: dict) -> DvParams:
@@ -660,16 +665,17 @@ MODES = tuple(_MODE_TABLE)
 def load_scenario(path: str) -> ScenarioSpec:
     """Parse and validate a scenario file.
 
-    Raises :class:`ScenarioError` on syntax or validation problems and lets
-    :class:`OSError` escape for unreadable paths.  The engine objects the
-    evaluator uses are built at both sweep endpoints, so every range their
-    constructors check surfaces here rather than mid-run.
+    Raises :class:`ScenarioError` on syntax or validation problems (a file
+    that is not UTF-8 among them) and lets :class:`OSError` escape for
+    unreadable paths.  The engine objects the evaluator uses are built at
+    both sweep endpoints, so every range their constructors check surfaces
+    here rather than mid-run.
     """
     parser = ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     with open(path, encoding="utf-8") as fh:
         try:
             parser.read_file(fh, source=path)
-        except _ConfigParserError as exc:
+        except (_ConfigParserError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"cannot parse {path}: {exc}") from exc
 
     unknown = sorted(set(parser.sections()) - {"scenario", "sweep", "params"})
@@ -737,16 +743,16 @@ def load_scenario(path: str) -> ScenarioSpec:
 def run_scenario(path: str, *, threads: int = 1) -> ResultTable:
     """Evaluate a scenario file into a :class:`ResultTable`.
 
-    The sweep is cut into at most ``threads`` contiguous slices, one per
-    worker, and the rows are joined in sweep order, so the table (and,
-    because :func:`emit` drops volatile metadata, the emitted bytes) does
-    not depend on the worker count.  Raises :class:`InfeasibleAttackError`
+    The sweep is cut into at most ``threads`` (1 to MAX_THREADS) contiguous
+    slices, one per worker, and the rows are joined in sweep order, so the
+    table (and, because :func:`emit` drops volatile metadata, the emitted
+    bytes) does not depend on the worker count.  Raises :class:`InfeasibleAttackError`
     when a CV sweep is infeasible at every point — a sign the restriction
     hypothesis cannot reproduce the observed channel at all.
     """
+    if not 1 <= threads <= MAX_THREADS:
+        raise ScenarioError(f"threads must lie in [1, {MAX_THREADS}], got {threads}")
     spec = load_scenario(path)
-    if threads < 1:
-        raise ScenarioError(f"threads must be >= 1, got {threads}")
     tail_columns, rows_fn = spec.kind.evaluator(spec)
     grid = spec.sweep.grid()
     slices = [part.tolist() for part in np.array_split(grid, min(threads, grid.size))]

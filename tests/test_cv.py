@@ -1,6 +1,7 @@
 """Bypass-channel CV engine: attack solving, covariance assembly, rate bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from satqkd.cv import (
     MAX_XI,
     AttackSolution,
     ChannelObservation,
-    CvMode,
     CvScenario,
     InfeasibleAttackError,
     _attack,
@@ -474,7 +474,7 @@ def test_slice_rows_equal_the_single_hypothesis_functions(draw):
         assert rate[i] == pytest.approx(key_rate_point(scn, obs, mode), rel=1e-12, abs=1e-14)
         assert chi[i] == pytest.approx(holevo_bound(scn, obs, mode), rel=1e-12, abs=1e-14)
         if mode != "dr-m2":  # the polish objective is the float lane
-            objective = _polish_objective(CvMode(mode), (scn.eta_ae, scn.v, scn.beta, scn.v_s),
+            objective = _polish_objective(mode, (scn.eta_ae, scn.v, scn.beta, scn.v_s),
                                           obs)
             assert objective(np.array([scn.eta_s, scn.eta_t])) == \
                 key_rate_point(scn, obs, mode)
@@ -579,9 +579,6 @@ def test_worst_case_rejects_degenerate_grid():
     dict(eta_ae=0.5, eta_s=0.0, eta_t=1.0, v=1.0),
     dict(eta_ae=0.5, eta_s=0.0, eta_t=1.0, v=300.0, beta=0.0),
     dict(eta_ae=0.5, eta_s=0.0, eta_t=1.0, v=300.0, v_s=0.5),
-    dict(eta_ae=0.5, eta_s=0.0, eta_t=1.0, v=2e7, mode="rr"),  # above MAX_V
-    dict(eta_ae=0.5, eta_s=0.0, eta_t=1.0, v=1e78, mode=CvMode.DR_M1),
-    dict(eta_ae=0.5, eta_s=0.0, eta_t=1.0, v=1.7e308, mode="dr-m2"),
 ])
 def test_scenario_rejects_out_of_range(kwargs):
     with pytest.raises(ValueError):
@@ -602,9 +599,55 @@ def test_observation_rejects_out_of_range(kwargs):
 
 @pytest.mark.parametrize("mode", ["rr", "dr-m1", "dr-m2"])
 def test_worst_case_rejects_a_source_variance_above_the_mode_bound(mode):
-    CvScenario(0.5, 0.0, 1.0, MAX_V[mode], mode=mode)
+    at_bound = CvScenario(0.5, 0.0, 1.0, MAX_V[mode])
+    assert math.isfinite(key_rate_point(at_bound, OBS_NOMINAL, mode))
     with pytest.raises(ValueError, match="v must be <="):
         worst_case_rate(0.5, OBS_NOMINAL, mode, v=MAX_V[mode] * 2.0, grid_points=3)
+
+
+# Per mode, a source variance above MAX_V (the inputs CvScenario once checked
+# when given a mode) and an excess noise above MAX_XI.
+ABOVE_THE_MODE_BOUNDS = [("rr", 2e7, 100.0), ("dr-m1", 1e78, 1e66),
+                         ("dr-m2", 1.7e308, 1e308)]
+
+
+def _above_one_bound(mode, v, xi, bound):
+    """(v, xi) with only ``bound`` above the mode's cap, and its message."""
+    cap = (MAX_V if bound == "v" else MAX_XI)[mode]
+    message = re.escape(f"{bound} must be <= {cap:g} in mode {mode}")
+    return (v, 0.1, message) if bound == "v" else (300.0, xi, message)
+
+
+@pytest.mark.parametrize("entry", [key_rate_point, holevo_bound])
+@pytest.mark.parametrize("bound", ["v", "xi"])
+@pytest.mark.parametrize("mode, v, xi", ABOVE_THE_MODE_BOUNDS)
+def test_single_hypotheses_reject_values_above_the_mode_bounds(mode, v, xi, bound, entry):
+    assert v > MAX_V[mode] and xi > MAX_XI[mode]
+    v, xi, message = _above_one_bound(mode, v, xi, bound)
+    with pytest.raises(ValueError, match=message):
+        entry(CvScenario(0.5, 0.0, 1.0, v), ChannelObservation(1e-3, xi), mode)
+
+
+@pytest.mark.parametrize("bound", ["v", "xi"])
+@pytest.mark.parametrize("mode, v, xi", ABOVE_THE_MODE_BOUNDS)
+def test_rate_arrays_rejects_one_lane_above_the_mode_bounds(mode, v, xi, bound):
+    v, xi, message = _above_one_bound(mode, v, xi, bound)
+    fields = {"v": v, "xi": xi}
+    good = {"v": 300.0, "xi": 0.1}[bound]
+    fields[bound] = np.array([good, fields[bound], good])
+    with pytest.raises(ValueError, match=message):
+        rate_arrays(mode, eta_ae=0.5, t_eq=1e-3, **fields)
+
+
+@pytest.mark.parametrize("mode", ["cv-rr", "RR", "dr-m3"])
+def test_every_entry_rejects_an_unknown_mode(mode):
+    scn = CvScenario(0.5, 0.0, 1.0, 300.0)
+    for call in (lambda: key_rate_point(scn, OBS_NOMINAL, mode),
+                 lambda: holevo_bound(scn, OBS_NOMINAL, mode),
+                 lambda: worst_case_rate(0.5, OBS_NOMINAL, mode, grid_points=3),
+                 lambda: rate_arrays(mode, eta_ae=0.5, t_eq=1e-3, xi=0.1)):
+        with pytest.raises(ValueError):
+            call()
 
 
 @pytest.mark.parametrize("mode", ["rr", "dr-m1", "dr-m2"])
@@ -638,7 +681,7 @@ def _rates_match_the_oracle(mode, oracle, v, xi=None):
     for (eta_ae, eta_s, eta_t, t_eq, lane_xi), lane in zip(lanes, rates.tolist()):
         digits = 60 + 2 * round(math.log10(v)) + 2 * max(round(math.log10(lane_xi)), 0)
         want = oracle(eta_ae, eta_s, eta_t, t_eq, lane_xi, v, dps=digits)
-        got = key_rate_point(CvScenario(eta_ae, eta_s, eta_t, v, mode=mode),
+        got = key_rate_point(CvScenario(eta_ae, eta_s, eta_t, v),
                              ChannelObservation(t_eq, lane_xi), mode)
         assert abs(got - want) <= 1e-8 and abs(lane - want) <= 1e-8
 

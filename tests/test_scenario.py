@@ -545,7 +545,6 @@ FIELD_ROUTES = [
     (CvScenario, "v", CV_FIXED_BASE, "v = 250"),
     (CvScenario, "beta", CV_FIXED_BASE, "beta = 0.95"),
     (CvScenario, "v_s", CV_FIXED_BASE, "v_s = 1.5"),
-    (CvScenario, "mode", CV_FIXED_BASE, None),  # picked by the mode name
     (ChannelObservation, "t_eq", CV_FIXED_BASE, "t_eq = 1e-3"),
     (ChannelObservation, "xi", CV_FIXED_BASE, "xi = 0.1"),
     (ChannelObservation, "eta_d", CV_FIXED_BASE, "eta_d = 0.9"),
@@ -828,6 +827,20 @@ def test_thread_count_is_validated(tmp_path):
         run_scenario(path, threads=0)
 
 
+def test_a_thread_count_above_the_cap_is_rejected_before_any_pool(tmp_path, monkeypatch,
+                                                                  capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was built")
+
+    monkeypatch.setattr(scenario, "ThreadPoolExecutor", no_pool)
+    path = write(tmp_path, QUICK_DR_M2)
+    too_many = scenario.MAX_THREADS + 1
+    with pytest.raises(ScenarioError, match=re.escape(f"threads must lie in [1, {too_many - 1}]")):
+        run_scenario(path, threads=too_many)
+    assert cli.main(["run", path, "--threads", str(too_many)]) == 1
+    assert "threads must lie in" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # emission, re-parsing, determinism
 # ---------------------------------------------------------------------------
@@ -1084,6 +1097,19 @@ def test_cli_lists_scenarios_and_flags_invalid_ones(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "good.ini: cv-dr-m2, sweep eta_ae (5 points)" in out
     assert "broken.ini: INVALID" in out
+
+
+def test_cli_non_utf8_file_is_exit_one_and_listed_invalid(tmp_path, capsys):
+    (tmp_path / "a_bytes.ini").write_bytes(b"[scenario]\nmode = cv-rr\n\xff\xfe")
+    write(tmp_path, QUICK_DR_M2, "b_good.ini")
+    path = str(tmp_path / "a_bytes.ini")
+    assert cli.main(["validate", path]) == 1
+    assert cli.main(["run", path]) == 1
+    assert f"cannot parse {path}: 'utf-8' codec" in capsys.readouterr().err
+    assert cli.main(["list-scenarios", "--dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "a_bytes.ini: INVALID (cannot parse" in out
+    assert "b_good.ini: cv-dr-m2, sweep eta_ae (5 points)" in out
 
 
 def test_cli_list_handles_an_empty_directory(tmp_path, capsys):
