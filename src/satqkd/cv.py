@@ -41,6 +41,8 @@ worst-case polish evaluate one hypothesis on floats (``_FLOAT_OPS``);
 bypass grid and the scenario runner's fixed-hypothesis and DR-M2 sweeps.
 A mode is one of the strings ``"rr"``, ``"dr-m1"``, ``"dr-m2"``: the keys of
 ``MAX_V`` and ``MAX_XI``, which every entry point checks (:func:`checked_v`).
+Every other range, of a field or of an argument, is checked through
+:mod:`satqkd.checks`, in which NaN lies in no range.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+
+from .checks import require, require_fields
 
 # The NumPy functions the kernels call, for Python floats: the polish makes
 # ~1e5 calls per file.  Both branches of ``where`` are evaluated, as in NumPy.
@@ -123,9 +127,9 @@ class CvScenario:
     eta_ae : fraction of Alice's beam the eavesdropper collects, [0, 1]
     eta_s  : bypass-path transmissivity for the uncollected light, [0, 1]
     eta_t  : transmissivity of Bob's combiner toward the eavesdropper path, [0, 1]
-    v      : variance of Alice's two-mode squeezed source, > 1 (shot-noise units)
+    v      : variance of Alice's two-mode squeezed source, (1, inf) (shot-noise units)
     beta   : reconciliation efficiency, (0, 1]
-    v_s    : variance of the environment mode entering the combiner, >= 1
+    v_s    : variance of the environment mode entering the combiner, [1, inf)
     """
 
     eta_ae: float
@@ -136,16 +140,8 @@ class CvScenario:
     v_s: float = 1.0
 
     def __post_init__(self):
-        for name in ("eta_ae", "eta_s", "eta_t"):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {val}")
-        if not self.v > 1.0:
-            raise ValueError(f"v must be > 1, got {self.v}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.v_s < 1.0:
-            raise ValueError(f"v_s must be >= 1, got {self.v_s}")
+        require_fields(self, eta_ae="[0, 1]", eta_s="[0, 1]", eta_t="[0, 1]",
+                       v="(1, inf)", beta="(0, 1]", v_s="[1, inf)")
 
 
 @dataclass(frozen=True)
@@ -153,9 +149,9 @@ class ChannelObservation:
     """What Alice and Bob actually measure about their channel.
 
     t_eq  : end-to-end transmissivity, detector efficiency included, (0, 1]
-    xi    : excess noise referred to the channel input, >= 0
+    xi    : excess noise referred to the channel input, [0, inf)
     eta_d : homodyne detector efficiency, (0, 1]
-    nu_el : electronic noise of the detector, >= 0 (shot-noise units)
+    nu_el : electronic noise of the detector, [0, inf) (shot-noise units)
     """
 
     t_eq: float
@@ -164,14 +160,7 @@ class ChannelObservation:
     nu_el: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.t_eq <= 1.0:
-            raise ValueError(f"t_eq must lie in (0, 1], got {self.t_eq}")
-        if self.xi < 0.0:
-            raise ValueError(f"xi must be >= 0, got {self.xi}")
-        if not 0.0 < self.eta_d <= 1.0:
-            raise ValueError(f"eta_d must lie in (0, 1], got {self.eta_d}")
-        if self.nu_el < 0.0:
-            raise ValueError(f"nu_el must be >= 0, got {self.nu_el}")
+        require_fields(self, t_eq="(0, 1]", xi="[0, inf)", eta_d="(0, 1]", nu_el="[0, inf)")
         if self.t_eq > self.eta_d + _FEAS_TOL:
             raise ValueError(
                 f"t_eq={self.t_eq} exceeds detector efficiency eta_d={self.eta_d}"
@@ -323,8 +312,10 @@ def mutual_info(obs: ChannelObservation, v: float) -> float:
 
     Standard noisy-homodyne expression: the channel contributes
     (1 - t)/t + xi referred to its input and the trusted detector adds
-    ((1 - eta_d) + nu_el)/eta_d, scaled back through the channel.
+    ((1 - eta_d) + nu_el)/eta_d, scaled back through the channel; the
+    source variance ``v`` must lie in [1, inf).
     """
+    require("v", v, "[1, inf)")
     return _mutual_info(_FLOAT_OPS, obs.t_channel, obs.xi, obs.eta_d, obs.nu_el, v)
 
 
@@ -341,12 +332,11 @@ def holevo_dr_m2_bound(eta_ae: float, v: float) -> float:
 
     The collected beam has variance eta_ae*(v-1) + 1 =: w; the bound is
     g(w) - g(sqrt(w)), the entropy of the collected mode minus the minimum
-    entropy of a state purifying it.  Independent of the bypass split.
+    entropy of a state purifying it.  Independent of the bypass split;
+    ``v`` must lie in [1, ``MAX_V["dr-m2"]``].
     """
-    if not 0.0 <= eta_ae <= 1.0:
-        raise ValueError(f"eta_ae must lie in [0, 1], got {eta_ae}")
-    if not v >= 1.0:
-        raise UnphysicalStateError(f"source variance must be >= 1, got {v}")
+    require("eta_ae", eta_ae, "[0, 1]")
+    require("v", v, f"[1, {MAX_V['dr-m2']:g}]")
     return _dr_m2_chi(_FLOAT_OPS, thermal_entropy_float, eta_ae, v)
 
 
@@ -592,8 +582,7 @@ def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode: str, *,
     Raises :class:`InfeasibleAttackError` if no grid point admits an attack.
     """
     v = checked_v(mode, v, obs.xi)
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    require("grid_points", grid_points, "[2, inf)")
     nobypass = CvScenario(eta_ae, 0.0, 1.0, v, beta, v_s)
     params = (eta_ae, v, beta, v_s)
 

@@ -34,7 +34,9 @@ are one-lane calls of it that return Python floats.
 for a whole array of operating points: one array for the coarse scan over
 ``MU_RANGE``, then a golden-section search run in lockstep, each lane with
 its own bracket and stopping rule, so no lane's result depends on the
-others.  :func:`optimize_mu` is its one-point wrapper.
+others.  :func:`optimize_mu` is its one-point wrapper.  The parameter
+classes and :func:`binary_entropy` check their ranges through
+:mod:`satqkd.checks`, in which NaN lies in no range.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
+
+from .checks import require, require_fields
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
 
@@ -71,22 +75,8 @@ class DvParams:
     def __post_init__(self):
         if self.source not in ("sps", "wcp"):
             raise ValueError(f"source must be 'sps' or 'wcp', got {self.source!r}")
-        if self.mu <= 0.0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        for name, lo, hi in (("eta_ch", 0.0, 1.0), ("eta_d", 0.0, 1.0)):
-            val = getattr(self, name)
-            if not lo < val <= hi:
-                raise ValueError(f"{name} must lie in ({lo}, {hi}], got {val}")
-        if not 0.0 <= self.p_dc < 1.0:
-            raise ValueError(f"p_dc must lie in [0, 1), got {self.p_dc}")
-        if not 0.0 <= self.e_d <= 0.5:
-            raise ValueError(f"e_d must lie in [0, 0.5], got {self.e_d}")
-        if self.f < 1.0:
-            raise ValueError(f"f must be >= 1, got {self.f}")
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError(f"q must lie in (0, 1], got {self.q}")
-        if not 0.0 < self.eta_ae <= 1.0:
-            raise ValueError(f"eta_ae must lie in (0, 1], got {self.eta_ae}")
+        require_fields(self, mu="(0, inf)", eta_ch="(0, 1]", eta_d="(0, 1]", p_dc="[0, 1)",
+                       e_d="[0, 0.5]", f="[1, inf)", q="(0, 1]", eta_ae="(0, 1]")
 
     @property
     def eta(self) -> float:
@@ -102,10 +92,7 @@ class DvObservables:
     qber: float
 
     def __post_init__(self):
-        if not 0.0 < self.gain <= 1.0:
-            raise ValueError(f"gain must lie in (0, 1], got {self.gain}")
-        if not 0.0 <= self.qber <= 0.5:
-            raise ValueError(f"qber must lie in [0, 0.5], got {self.qber}")
+        require_fields(self, gain="(0, 1]", qber="[0, 0.5]")
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +157,7 @@ def _bb84_rate(wcp, eta, mu, p_dc, e_d, f, q, eta_ae):
 
 def binary_entropy(x: float) -> float:
     """Shannon entropy of a bit with bias ``x``, in bits; h(0) = h(1) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary_entropy argument must lie in [0, 1], got {x}")
+    require("binary_entropy argument", x, "[0, 1]")
     return float(_entropy(x))
 
 

@@ -15,8 +15,10 @@ an undetected object must sit below both size bounds.
 Every function of a range or an angle takes a float (and gives a float) or
 a NumPy array (and gives an array), so a profile along z, or one per zenith
 angle, is one array evaluation through :func:`eve_efficiencies`.  The
-parameter classes reject values whose derived quantities (the Rayleigh
-range, the radar's squared gain) are not finite positive floats.
+parameter classes and the functions of raw numbers check their ranges
+through :mod:`satqkd.checks`, in which NaN lies in no range; the classes
+also reject values whose derived quantities (the Rayleigh range, the
+radar's squared gain) are not finite positive floats.
 
 Default constants not fixed by the optical model itself (albedos, sky
 radiance, field of view, filter bandwidth, radar system temperature) are
@@ -30,6 +32,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .checks import finite_positive, require, require_fields
 
 BOLTZMANN = 1.380649e-23     # J/K
 EARTH_RADIUS = 6.371e6       # m, mean spherical
@@ -50,20 +54,6 @@ RADAR_REFERENCE_TEMP = 290.0  # K, noise-figure reference
 RADAR_ANTENNA_TEMP = 60.0     # K, cold-sky antenna temperature
 
 
-def finite_positive(what: str, compute) -> float:
-    """``compute()``, a quantity derived from the parameters, if it is a
-    finite positive float, else a ValueError naming ``what``; an overflow on
-    the way counts as infinite."""
-    try:
-        with np.errstate(all="ignore"):
-            value = compute()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{what} must be finite and positive, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class BeamParams:
     """Gaussian beam leaving a transmitter: waist = aperture radius."""
@@ -73,10 +63,7 @@ class BeamParams:
     quality: float = 1.0  # M^2 factor, >= 1
 
     def __post_init__(self):
-        if self.waist <= 0.0 or self.wavelength <= 0.0:
-            raise ValueError("waist and wavelength must be positive")
-        if self.quality < 1.0:
-            raise ValueError(f"beam quality M^2 must be >= 1, got {self.quality}")
+        require_fields(self, waist="(0, inf)", wavelength="(0, inf)", quality="[1, inf)")
         finite_positive(f"the Rayleigh range of waist = {self.waist} and wavelength = "
                         f"{self.wavelength}", lambda: self.rayleigh_range)
 
@@ -97,12 +84,8 @@ class LidarConfig:
     beam: BeamParams
 
     def __post_init__(self):
-        if self.transmit_power <= 0.0 or self.noise_floor <= 0.0:
-            raise ValueError("transmit_power and noise_floor must be positive")
-        for name in ("loss_factor", "reflectivity"):
-            val = getattr(self, name)
-            if not 0.0 < val <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {val}")
+        require_fields(self, transmit_power="(0, inf)", loss_factor="(0, 1]",
+                       reflectivity="(0, 1]", noise_floor="(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -113,10 +96,7 @@ class LinkGeometry:
     r_b: float                         # m, ground aperture radius
 
     def __post_init__(self):
-        if not np.all(np.asarray(self.total_range) > 0.0):
-            raise ValueError("total_range must be positive")
-        if self.r_b <= 0.0:
-            raise ValueError("aperture radius must be positive")
+        require_fields(self, total_range="(0, inf)", r_b="(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -133,15 +113,10 @@ class RadarParams:
     antenna_temperature: float = RADAR_ANTENNA_TEMP  # K
 
     def __post_init__(self):
-        for name in ("transmit_power", "antenna_radius", "wavelength", "bandwidth",
-                     "antenna_temperature", "loss_factor"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.noise_figure >= 1.0:
-            raise ValueError(f"noise_figure must be >= 1 (0 dB), got {self.noise_figure}")
-        if not 0.0 < self.aperture_efficiency <= 1.0:
-            raise ValueError(f"aperture_efficiency must lie in (0, 1], got "
-                             f"{self.aperture_efficiency}")
+        require_fields(self, transmit_power="(0, inf)", antenna_radius="(0, inf)",
+                       wavelength="(0, inf)", bandwidth="(0, inf)",
+                       antenna_temperature="(0, inf)", loss_factor="(0, inf)",
+                       noise_figure="[1, inf)", aperture_efficiency="(0, 1]")
         finite_positive(f"the squared gain of aperture_efficiency = {self.aperture_efficiency}, "
                         f"antenna_radius = {self.antenna_radius} and wavelength = "
                         f"{self.wavelength}", lambda: self.gain ** 2)
@@ -184,19 +159,16 @@ def focused_beam_width(z, r_e, geom: LinkGeometry, wavelength: float):
     broadcastable arrays; every z must lie in [0, L) and every r_e be > 0."""
     z = np.asarray(z, dtype=float)
     r_e = np.asarray(r_e, dtype=float)
-    if not np.all((0.0 <= z) & (z < geom.total_range)):
-        raise ValueError(f"z must lie in [0, total_range), got {z}")
-    if not np.all(r_e > 0.0):
-        raise ValueError(f"r_e must be positive, got {r_e}")
-    return _float_or_array(wavelength * (geom.total_range - z) / (math.pi * r_e))
+    require("z", z, "[0, inf)")
+    to_b = require("total_range - z", geom.total_range - z, "(0, inf)")
+    require("r_e", r_e, "(0, inf)")
+    return _float_or_array(wavelength * to_b / (math.pi * r_e))
 
 
 def radar_cross_section_bound(distance, radar: RadarParams):
     """Largest radar cross-section sigma (m^2) that stays below the noise floor
     at the given range(s): sigma = P_min (4 pi)^3 kappa d^4 / (P_T G^2 lambda^2)."""
-    distance = np.asarray(distance, dtype=float)
-    if np.any(distance <= 0.0):
-        raise ValueError("distance must be positive")
+    distance = require("distance", np.asarray(distance, dtype=float), "(0, inf)")
     return _float_or_array(
         radar.noise_floor * (4.0 * math.pi) ** 3 * radar.loss_factor * distance ** 4
         / (radar.transmit_power * radar.gain ** 2 * radar.wavelength ** 2))
@@ -218,9 +190,7 @@ def lidar_size_bound(z, cfg: LidarConfig):
     object of any size returns less than the noise floor (for the assumed
     reflectivity).
     """
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
-        raise ValueError("z must be >= 0")
+    z = require("z", np.asarray(z, dtype=float), "[0, inf)")
     w0 = cfg.beam.waist
     u = 2.0 * cfg.noise_floor * cfg.loss_factor * z * z \
         / (cfg.reflectivity * cfg.transmit_power * w0 * w0)
@@ -312,8 +282,7 @@ def eve_efficiency_profile(geom: LinkGeometry, cfg_sat: LidarConfig,
     simultaneous dual monitoring (:func:`dual_lidar_size_bound`), with the
     efficiencies of :func:`eve_efficiencies` for the communication beam; with
     an array of link lengths in ``geom``, one row of z per link."""
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
+    require("n_points", n_points, "[2, inf)")
     beam = comm_beam if comm_beam is not None else cfg_sat.beam
     z = np.linspace(0.0, geom.total_range, n_points, axis=-1)
     rows = replace(geom, total_range=np.expand_dims(geom.total_range, -1))
@@ -328,9 +297,9 @@ def slant_range(zenith_angle, altitude: float, earth_radius: float = EARTH_RADIU
 
     d = sqrt((R + h)^2 - R^2 sin^2 theta) - R cos theta;  d(0) = h.
     """
-    theta = np.asarray(zenith_angle, dtype=float)
-    if not np.all((0.0 <= theta) & (theta < math.pi / 2.0)):
-        raise ValueError(f"zenith angle must lie in [0, pi/2), got {zenith_angle}")
+    theta = require("zenith angle", np.asarray(zenith_angle, dtype=float),
+                    f"[0, {math.pi / 2.0})")
+    require("altitude", altitude, "(0, inf)")
     r = earth_radius
     s = np.sin(theta)
     return _float_or_array(np.sqrt((r + altitude) ** 2 - r * r * s * s) - r * np.cos(theta))

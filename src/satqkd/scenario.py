@@ -92,6 +92,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
+from .checks import finite_positive
 from .cv import (
     _DEFAULT_V,
     ChannelObservation,
@@ -111,7 +112,6 @@ from .lidar import (
     dual_lidar_size_bound,
     elevation_sweep,
     eve_efficiencies,
-    finite_positive,
     moonlight_background_power,
     radar_cross_section_bound,
     radar_size_bound,
@@ -344,9 +344,9 @@ def _check_profile(sweep: SweepSpec, p: dict) -> None:
 
 
 def _check_elevation(sweep: SweepSpec, p: dict) -> None:
-    # The engine's sweep builds each angle's link from these.
-    for key in ("r_a", "altitude"):
-        _positive(p, key)
+    # r_a sets only the satellite LIDAR's default noise floor; slant_range
+    # checks the altitude.
+    _positive(p, "r_a")
     for key in ("detection_efficiency", "optics_transmittance"):
         if not 0.0 < p[key] <= 1.0:
             raise ScenarioError(f"[params] {key} must lie in (0, 1], got {p[key]}")

@@ -197,6 +197,12 @@ def test_mutual_info_nominal_point():
         pytest.approx(1.8868411309695524e-01, rel=1e-14)
 
 
+@pytest.mark.parametrize("v", [math.nan, math.inf, 1.0 - 1e-12])
+def test_mutual_info_rejects_a_source_variance_out_of_range(v):
+    with pytest.raises(ValueError, match=re.escape("v must lie in [1, inf)")):
+        mutual_info(OBS_NOMINAL, v)
+
+
 def test_electronic_noise_reduces_mutual_info():
     noisy = ChannelObservation(0.5, 0.1, 1.0, 0.1)
     clean = ChannelObservation(0.5, 0.1)
@@ -285,6 +291,12 @@ def test_dr_m2_bound_rejects_bad_collection():
 def test_dr_m2_bound_rejects_a_sub_vacuum_source():
     with pytest.raises(ValueError):
         holevo_dr_m2_bound(0.3, 0.5)
+
+
+@pytest.mark.parametrize("v", [math.inf, math.nan])
+def test_dr_m2_bound_rejects_a_source_above_the_mode_bound(v):
+    with pytest.raises(ValueError, match=re.escape(f"v must lie in [1, {MAX_V['dr-m2']:g}]")):
+        holevo_dr_m2_bound(0.5, v)
 
 
 def test_dr_m2_bound_fixed_point():
@@ -579,6 +591,8 @@ def test_worst_case_rejects_degenerate_grid():
     dict(eta_ae=0.5, eta_s=0.0, eta_t=1.0, v=1.0),
     dict(eta_ae=0.5, eta_s=0.0, eta_t=1.0, v=300.0, beta=0.0),
     dict(eta_ae=0.5, eta_s=0.0, eta_t=1.0, v=300.0, v_s=0.5),
+    dict(eta_ae=0.5, eta_s=0.0, eta_t=1.0, v=300.0, v_s=math.nan),
+    dict(eta_ae=0.5, eta_s=0.0, eta_t=1.0, v=math.inf),
 ])
 def test_scenario_rejects_out_of_range(kwargs):
     with pytest.raises(ValueError):
@@ -591,6 +605,8 @@ def test_scenario_rejects_out_of_range(kwargs):
     dict(t_eq=0.5, xi=-0.1),
     dict(t_eq=0.5, xi=0.1, eta_d=0.4),  # more light out than the detector admits
     dict(t_eq=0.5, xi=0.1, nu_el=-1.0),
+    dict(t_eq=0.5, xi=math.nan),
+    dict(t_eq=0.5, xi=0.1, nu_el=math.nan),  # once a worst case of rate=inf
 ])
 def test_observation_rejects_out_of_range(kwargs):
     with pytest.raises(ValueError):

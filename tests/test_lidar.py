@@ -156,6 +156,11 @@ def test_radar_rejects_nonpositive_distance():
         radar_size_bound(0.0, nominal_radar())
 
 
+def test_radar_rejects_a_nan_distance_in_any_lane():
+    with pytest.raises(ValueError, match="distance must lie in .*, got nan"):
+        radar_cross_section_bound(np.array([1e5, math.nan]), nominal_radar())
+
+
 # ---------------------------------------------------------------------------
 # LIDAR bound
 # ---------------------------------------------------------------------------
@@ -210,6 +215,12 @@ def test_lidar_config_validation():
     with pytest.raises(ValueError):
         LidarConfig(transmit_power=1.0, loss_factor=1.5, reflectivity=0.1,
                     noise_floor=1e-15, beam=beam)
+
+
+def test_lidar_size_bound_rejects_a_nan_range_in_any_lane():
+    # Once inf there: an object of any size unseen, so eta_ae = 1.
+    with pytest.raises(ValueError, match="z must lie in .*, got nan"):
+        lidar_size_bound(np.array([1e3, math.nan]), nominal_satellite_lidar())
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +418,12 @@ def test_slant_range_monotone_in_zenith_angle():
     assert all(type(d) is float for d in ds)
     assert all(b > a for a, b in zip(ds, ds[1:]))
     np.testing.assert_array_equal(slant_range(theta, 500e3), ds)
+
+
+@pytest.mark.parametrize("altitude", [-1e5, 0.0, math.nan, math.inf])
+def test_slant_range_rejects_an_altitude_out_of_range(altitude):
+    with pytest.raises(ValueError, match=r"altitude must lie in \(0, inf\)"):
+        slant_range(0.0, altitude)
 
 
 def test_slant_range_rejects_the_horizon():

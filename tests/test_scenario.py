@@ -278,8 +278,9 @@ def loader_fuzz_text(mode, variable, start, stop, params):
 # Regressions: ranges only an engine constructor checks (the LIDAR loss
 # factor, the radar noise figure, the CV source variance and excess noise
 # above their mode's bounds), dB values and noise-floor defaults past a
-# float's range, an altitude whose slant range rounds to 0, and a mu sweep
-# that the loader must accept.
+# float's range, an altitude whose slant range rounds to 0, a negative
+# altitude (which slant_range checks), and a mu sweep that the loader must
+# accept.
 CV_WORST_KEYS = dict(t_eq=1e-3, xi=0.1, grid_points=21, refine="false")
 LOADER_DEFECTS = {
     "cv-rr-worst-case-v-1e20": ("cv-rr", "eta_ae", 0.05, 0.5, dict(CV_WORST_KEYS, v=1e20)),
@@ -291,6 +292,8 @@ LOADER_DEFECTS = {
                              dict(t_eq=1e-3, xi=1e200, eta_s=0.05, eta_t=0.99)),
     "lidar-elevation-altitude-1e-100": ("lidar-elevation", "zenith_deg", 0.0, 60.0,
                                         {"altitude": 1e-100}),
+    "lidar-elevation-altitude-negative": ("lidar-elevation", "zenith_deg", 0.0, 60.0,
+                                          {"altitude": -1e5}),
     "lidar-profile-r-a-1e200": ("lidar-profile", "z", 0.0, 5e5, {"r_a": 1e200}),
     "lidar-elevation-r-b-1e200": ("lidar-elevation", "zenith_deg", 0.0, 60.0, {"r_b": 1e200}),
     "dv-wcp-mu-sweep": ("dv-wcp", "mu", 0.1, 1.0,
@@ -358,6 +361,7 @@ def test_cli_defect_files_are_exit_one_or_run_clean(tmp_path, capsys, name):
              "cv-rr-worst-case-xi-1e20": "xi must be <= 10",
              "cv-rr-fixed-xi-1e200": "xi must be <= 10",
              "lidar-elevation-altitude-1e-100": "altitude",
+             "lidar-elevation-altitude-negative": "altitude",
              "lidar-profile-r-a-1e200": "r_a",
              "lidar-elevation-r-b-1e200": "r_b"}.get(name, "loss_factor")
     for command in ("validate", "run"):
