@@ -30,15 +30,13 @@ Because the legitimate users cannot characterise the bypass, operational
 security statements minimise the rate over (``eta_s``, ``eta_t``);
 see :func:`worst_case_rate`.
 
-One attack solver (``_attack``), one closed-form Holevo kernel (``_chi``)
-and one mutual information run on Python floats and on NumPy arrays alike.
-The kernel sums g(nu), the entropy of a thermal mode, over the symplectic
-spectra of ``_nu_pair``: :func:`thermal_entropy` on arrays and
-:func:`thermal_entropy_float` on floats, both 0 for any nu below 1.
-:func:`solve_attack`, :func:`key_rate_point`, :func:`holevo_bound` and the
-worst-case polish evaluate one hypothesis on floats (``_FLOAT_OPS``);
-:func:`rate_arrays` is the one array entry point, behind the worst-case
-bypass grid and the scenario runner's fixed-hypothesis and DR-M2 sweeps.
+One attack solver (``_attack``) and one closed-form Holevo kernel (``_chi``)
+sum g(nu), the entropy of a thermal mode (:func:`thermal_entropy`, 0 for
+any nu below 1), over the symplectic spectra of ``_nu_pair``.  Every number
+returned is a lane of :func:`rate_arrays`: file cells, the worst-case grid
+and ceiling scans, and :func:`key_rate_point` and :func:`holevo_bound`, so
+these agree bit for bit.  Only the worst-case polish's Nelder-Mead objective
+runs the kernels on floats (``_FLOAT_OPS``, :func:`thermal_entropy_float`).
 A mode is one of the strings ``"rr"``, ``"dr-m1"``, ``"dr-m2"``: the keys of
 ``MAX_V`` and ``MAX_XI``, which every entry point checks (:func:`checked_v`).
 Every other range, of a field or of an argument, is checked through
@@ -50,16 +48,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
 from .checks import require, require_fields
 
-# The NumPy functions the kernels call, for Python floats: the polish makes
-# ~1e5 calls per file.  Both branches of ``where`` are evaluated, as in NumPy.
+# The NumPy functions ``_attack`` calls, for the polish objective's floats
+# (~1e5 calls per file).  Both branches of ``where`` are evaluated, as in NumPy.
 # maximum and minimum return what max and min do, at a third of their cost.
-_FLOAT_OPS = SimpleNamespace(log2=math.log2, sqrt=math.sqrt,
+_FLOAT_OPS = SimpleNamespace(sqrt=math.sqrt,
                              maximum=lambda a, b: b if b > a else a,
                              minimum=lambda a, b: b if b < a else a,
                              where=lambda cond, a, b: a if cond else b)
@@ -191,17 +190,15 @@ class WorstCaseResult:
     n_feasible: int
 
 
-def max_bypass_transmissivity(eta_ae: float, eta_t: float, obs: ChannelObservation) -> float:
-    """Largest eta_s consistent with the observed transmissivity.
+def max_bypass_transmissivity(eta_ae, eta_t, obs: ChannelObservation):
+    """Largest eta_s consistent with the observed transmissivity (floats or arrays).
 
     Beyond t_channel / ((1-eta_ae)(1-eta_t)) the bypass alone would deliver
     more light than Bob sees, so no attack exists.  May exceed 1, in which
-    case the full [0, 1] range is available.
+    case the full [0, 1] range is available; inf where eta_ae or eta_t is 1.
     """
-    denom = (1.0 - eta_ae) * (1.0 - eta_t)
-    if denom <= 0.0:
-        return math.inf
-    return obs.t_channel / denom
+    with np.errstate(divide="ignore"):
+        return np.divide(obs.t_channel, (1.0 - eta_ae) * (1.0 - eta_t))
 
 
 def solve_attack(scenario: CvScenario, obs: ChannelObservation) -> AttackSolution:
@@ -214,14 +211,16 @@ def solve_attack(scenario: CvScenario, obs: ChannelObservation) -> AttackSolutio
     never an exception.
     """
     t_ch = obs.t_channel
-    eta_e, v_e, code = _attack(_FLOAT_OPS, scenario.eta_ae, scenario.eta_s, scenario.eta_t,
-                               t_ch, t_ch * obs.xi, scenario.v_s)
-    return AttackSolution(eta_e, v_e, code == 0, _ATTACK_REASONS[code])
+    with np.errstate(over="ignore"):  # a subnormal eta_ae * eta_t: eta_e = inf
+        eta_e, v_e, code = _attack(np, scenario.eta_ae, scenario.eta_s, scenario.eta_t,
+                                   t_ch, t_ch * obs.xi, scenario.v_s)
+    return AttackSolution(float(eta_e), float(v_e), bool(code == 0), _ATTACK_REASONS[code])
 
 
 def _attack(xp, eta_ae, eta_s, eta_t, t_ch, xi_rx, v_s):
-    """:func:`solve_attack` on Python floats (``xp`` is ``_FLOAT_OPS``) or on
-    broadcastable arrays (``xp`` is ``np``): (eta_e, v_e, code).
+    """:func:`solve_attack` on broadcastable arrays (``xp`` is ``np``) or on
+    the polish objective's floats (``_FLOAT_OPS``), with the same bits:
+    (eta_e, v_e, code).
 
     ``code`` indexes ``_ATTACK_REASONS``, 0 meaning feasible; the first check
     that fails names the reason.  ``xi_rx = t_ch * xi`` is the excess noise at
@@ -316,15 +315,15 @@ def mutual_info(obs: ChannelObservation, v: float) -> float:
     source variance ``v`` must lie in [1, inf).
     """
     require("v", v, "[1, inf)")
-    return _mutual_info(_FLOAT_OPS, obs.t_channel, obs.xi, obs.eta_d, obs.nu_el, v)
+    return float(_mutual_info(obs.t_channel, obs.xi, obs.eta_d, obs.nu_el, v))
 
 
-def _mutual_info(xp, t_ch, xi, eta_d, nu_el, v):
+def _mutual_info(t_ch, xi, eta_d, nu_el, v):
     """:func:`mutual_info` on floats or arrays, given the channel's t_ch."""
     chi_line = (1.0 - t_ch) / t_ch + xi
     chi_det = ((1.0 - eta_d) + nu_el) / eta_d
     chi_tot = chi_line + chi_det / t_ch
-    return 0.5 * xp.log2((v + chi_tot) / (1.0 + chi_tot))
+    return 0.5 * np.log2((v + chi_tot) / (1.0 + chi_tot))
 
 
 def holevo_dr_m2_bound(eta_ae: float, v: float) -> float:
@@ -337,18 +336,18 @@ def holevo_dr_m2_bound(eta_ae: float, v: float) -> float:
     """
     require("eta_ae", eta_ae, "[0, 1]")
     require("v", v, f"[1, {MAX_V['dr-m2']:g}]")
-    return _dr_m2_chi(_FLOAT_OPS, thermal_entropy_float, eta_ae, v)
+    return float(_dr_m2_chi(eta_ae, v))
 
 
-def _dr_m2_chi(xp, entropy, eta_ae, v):
+def _dr_m2_chi(eta_ae, v):
     """:func:`holevo_dr_m2_bound` on floats or arrays, unvalidated."""
     w = _collected_variance(eta_ae, v)
-    return entropy(w) - entropy(xp.sqrt(w))
+    return thermal_entropy(w) - thermal_entropy(np.sqrt(w))
 
 
 # ---------------------------------------------------------------------------
-# Closed-form Holevo kernel: arrays for the bypass grid and scenario slices,
-# floats for single hypotheses and the polish.
+# Closed-form Holevo kernel: arrays for every returned number, floats for
+# the polish objective only.
 # ---------------------------------------------------------------------------
 
 
@@ -376,7 +375,7 @@ def thermal_entropy(nu):
 
 def thermal_entropy_float(nu: float) -> float:
     """:func:`thermal_entropy` for one Python float, in plain ``math``: the
-    polish makes a few calls per evaluation."""
+    polish objective makes a few calls per evaluation."""
     x = nu - 1.0
     if x < _ENTROPY_CUTOFF:
         return 0.0
@@ -457,33 +456,36 @@ def rate_arrays(mode: str, *, eta_ae, t_eq, xi, eta_d=1.0, nu_el=0.0, v=None, be
     """(rate, chi, feasible) over broadcastable arrays of the :class:`CvScenario`
     and :class:`ChannelObservation` fields, one lane per hypothesis.
 
-    Each lane is :func:`key_rate_point`, :func:`holevo_bound` and
-    ``solve_attack(...).feasible`` at its fields; rate and chi of an
-    infeasible lane mean nothing.  DR-M2 ignores the bypass split and ``v_s``
-    and is feasible everywhere.  :func:`checked_v` checks the mode and every
-    lane's v and xi; the caller validates the other fields (the scenario
-    runner probes both sweep ends).
+    :func:`key_rate_point` and :func:`holevo_bound` are single lanes of it,
+    and a lane's bits do not depend on which fields are arrays.  Rate and chi
+    of an infeasible lane mean nothing.  DR-M2 ignores the bypass split and
+    ``v_s`` and is feasible everywhere.  :func:`checked_v` checks the mode and
+    every lane's v and xi; the caller validates the other fields (the
+    scenario runner probes both sweep ends).
     """
     v = checked_v(mode, v, xi)
     t_ch = np.minimum(t_eq / eta_d, 1.0)
     # Infeasible lanes may be unphysical, or overflow on subnormal inputs.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         if mode == "dr-m2":
-            chi = _dr_m2_chi(np, thermal_entropy, eta_ae, v)
+            chi = _dr_m2_chi(eta_ae, v)
             feasible = True
         else:
+            # Arrays throughout: a float64 scalar's ** 0.5 is pow, an array's sqrt.
+            eta_s, eta_t = np.atleast_1d(eta_s, eta_t)
             xi_rx = t_ch * xi
             eta_e, v_e, code = _attack(np, eta_ae, eta_s, eta_t, t_ch, xi_rx, v_s)
             chi = _chi(mode, thermal_entropy, eta_ae, eta_e, v_e, eta_s, eta_t, v, t_ch, xi_rx)
             feasible = code == 0
-        rate = beta * _mutual_info(np, t_ch, xi, eta_d, nu_el, v) - chi
+        rate = beta * _mutual_info(t_ch, xi, eta_d, nu_el, v) - chi
     return tuple(np.broadcast_arrays(rate, chi, feasible))
 
 
 def _polish_objective(mode, scenario_like, obs):
-    """The key rate at one hypothesis x = (eta_s, eta_t), on Python floats:
-    the float lane of :func:`rate_arrays`; +inf outside the unit square and
-    where no attack reproduces the observation.
+    """The key rate at one hypothesis x = (eta_s, eta_t), on Python floats, to
+    steer the Nelder-Mead descents: :func:`rate_arrays`' lane to within
+    rounding; +inf outside the unit square and where no attack reproduces the
+    observation.
     """
     eta_ae, v, beta, v_s = scenario_like
     t_ch = obs.t_channel
@@ -510,60 +512,59 @@ def minimize(fun, x0, **kwargs):
     return scipy_minimize(fun, x0, **kwargs)
 
 
-def _ceiling_minimum(objective, eta_ae: float, obs: ChannelObservation):
-    """Lowest ``objective`` along the bypass ceiling: (rate, eta_s, eta_t).
+def _ceiling_minimum(lanes, eta_ae: float, obs: ChannelObservation):
+    """Lowest rate along the bypass ceiling: (rate, eta_s, eta_t).
 
     The ceiling eta_s = min(1, t_channel / ((1-eta_ae)(1-eta_t))) is where
     the bypass carries all the light it may; the reverse-reconciliation
     minimiser lies on it, near 1 - eta_t ~ t_channel.  It is curved in
     (eta_s, eta_t), and a Nelder-Mead simplex started at a grid node beside
     it can stall against its infeasible side.  Scan log10(1 - eta_t) over
-    [-8, 0], then narrow the best bracket by golden section.
+    [-8, 0] in 33 points, then rescan the bracket of the best point's two
+    neighbours in 33 points until it is 2e-9 wide, as 40 golden-section steps
+    left it.  Each scan is one call of ``lanes`` (:func:`rate_arrays` with the
+    rest of the hypothesis bound), so every rate is a lane of the one kernel.
     """
-    def on_ceiling(log_u):
+    best = (math.inf, 0.0, 1.0)
+    lo, hi = -8.0, 0.0
+    while hi - lo > 2e-9:
+        log_u = np.linspace(lo, hi, 33)
         eta_t = 1.0 - 10.0 ** log_u
-        eta_s = min(1.0, max_bypass_transmissivity(eta_ae, eta_t, obs))
-        return objective(np.array([eta_s, eta_t])), log_u, eta_s, eta_t
+        eta_s = np.minimum(1.0, max_bypass_transmissivity(eta_ae, eta_t, obs))
+        rate, _, feasible = lanes(eta_s=eta_s, eta_t=eta_t)
+        rate = np.where(feasible, rate, np.inf)
+        i = int(np.argsort(rate, kind="stable")[0])  # nan lanes sort last
+        if rate[i] < best[0]:
+            best = (float(rate[i]), float(eta_s[i]), float(eta_t[i]))
+        lo, hi = log_u[max(i - 1, 0)], log_u[min(i + 1, 32)]
+    return best
 
-    scan = [on_ceiling(x) for x in np.linspace(-8.0, 0.0, 33).tolist()]
-    i = min(range(len(scan)), key=lambda k: scan[k][0])
-    lo, hi = scan[max(i - 1, 0)][1], scan[min(i + 1, len(scan) - 1)][1]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = on_ceiling(hi - inv_phi * (hi - lo))
-    b = on_ceiling(lo + inv_phi * (hi - lo))
-    for _ in range(40):
-        if a[0] <= b[0]:
-            hi, b = b[1], a
-            a = on_ceiling(hi - inv_phi * (hi - lo))
-        else:
-            lo, a = a[1], b
-            b = on_ceiling(lo + inv_phi * (hi - lo))
-    rate, _, eta_s, eta_t = min(scan[i], a, b, key=lambda r: r[0])
-    return rate, eta_s, eta_t
+
+def _lane(mode: str, scenario: CvScenario, obs: ChannelObservation):
+    """(rate, chi) of the one :func:`rate_arrays` lane at a fixed hypothesis."""
+    rate, chi, feasible = rate_arrays(mode, **vars(scenario), **vars(obs))
+    if not feasible.all():
+        raise InfeasibleAttackError(solve_attack(scenario, obs).reason)
+    rate, chi = rate.item(), chi.item()
+    if not (math.isfinite(rate) and math.isfinite(chi)):
+        raise FloatingPointError(f"non-finite key rate in mode {mode} at {scenario}, {obs}")
+    return rate, chi
 
 
 def key_rate_point(scenario: CvScenario, obs: ChannelObservation, mode: str) -> float:
-    """Asymptotic secret-key rate (bits/use) at a fixed bypass hypothesis.
+    """Asymptotic secret-key rate (bits/use) at a fixed bypass hypothesis: one
+    lane of :func:`rate_arrays`, which checks the mode, v and xi.
 
     Raises :class:`InfeasibleAttackError` when no attack reproduces the
-    observation at this scenario's (eta_s, eta_t); :func:`holevo_bound`
-    checks the mode, v and xi.
+    observation at this scenario's (eta_s, eta_t), FloatingPointError when
+    the lane there is not finite.
     """
-    i_ab = mutual_info(obs, scenario.v)
-    return scenario.beta * i_ab - holevo_bound(scenario, obs, mode)
+    return _lane(mode, scenario, obs)[0]
 
 
 def holevo_bound(scenario: CvScenario, obs: ChannelObservation, mode: str) -> float:
-    """Eve's Holevo information at a fixed bypass hypothesis (diagnostic)."""
-    checked_v(mode, scenario.v, obs.xi)
-    if mode == "dr-m2":
-        return holevo_dr_m2_bound(scenario.eta_ae, scenario.v)
-    attack = solve_attack(scenario, obs)
-    if not attack.feasible:
-        raise InfeasibleAttackError(attack.reason)
-    t_ch = obs.t_channel
-    return float(_chi(mode, thermal_entropy_float, scenario.eta_ae, attack.eta_e, attack.v_e,
-                      scenario.eta_s, scenario.eta_t, scenario.v, t_ch, t_ch * obs.xi))
+    """Eve's Holevo information (diagnostic): the chi of :func:`key_rate_point`'s lane."""
+    return _lane(mode, scenario, obs)[1]
 
 
 def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode: str, *,
@@ -575,32 +576,25 @@ def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode: str, *,
     A ``grid_points`` x ``grid_points`` scan of the unit square is optionally
     polished by deterministic Nelder-Mead descents from the five best grid
     points and a 1-D search along the bypass ceiling
-    (:func:`_ceiling_minimum`).  Also reports the no-bypass rate (eta_s=0, eta_t=1) when that
-    attack is feasible; below eta_ae < t_channel it is not, and ``None`` is
-    returned for it.
+    (:func:`_ceiling_minimum`); the rate reported is the one-lane value at
+    the argmin.  Also reports the no-bypass rate, at the grid's (eta_s, eta_t)
+    = (0, 1) corner, when that attack is feasible; below eta_ae < t_channel
+    it is not, and ``None`` is returned for it.
 
     Raises :class:`InfeasibleAttackError` if no grid point admits an attack.
     """
     v = checked_v(mode, v, obs.xi)
     require("grid_points", grid_points, "[2, inf)")
-    nobypass = CvScenario(eta_ae, 0.0, 1.0, v, beta, v_s)
-    params = (eta_ae, v, beta, v_s)
-
-    def rate_nobypass():
-        try:
-            return key_rate_point(nobypass, obs, mode)
-        except InfeasibleAttackError:
-            return None
+    lanes = partial(rate_arrays, mode, eta_ae=eta_ae, **vars(obs), v=v, beta=beta, v_s=v_s)
 
     if mode == "dr-m2":
-        rate = key_rate_point(nobypass, obs, mode)
+        rate = lanes()[0].item()
         return WorstCaseResult(rate, 0.0, 1.0, rate, grid_points * grid_points)
 
     axis = np.linspace(0.0, 1.0, grid_points)
     ss, tt = np.meshgrid(axis, axis, indexing="ij")
-    rates, _, feasible = rate_arrays(mode, eta_ae=eta_ae, t_eq=obs.t_eq, xi=obs.xi,
-                                     eta_d=obs.eta_d, nu_el=obs.nu_el, v=v, beta=beta,
-                                     v_s=v_s, eta_s=ss, eta_t=tt)
+    rates, _, feasible = lanes(eta_s=ss, eta_t=tt)
+    nb = rates[0, -1].item() if feasible[0, -1] else None
     rates = np.where(feasible, rates, np.inf)
     n_feasible = int(np.count_nonzero(feasible))
     if n_feasible == 0:
@@ -618,9 +612,8 @@ def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode: str, *,
     best_t = float(tt.ravel()[best_idx])
 
     if refine:
-        objective = _polish_objective(mode, params, obs)
-        n_seeds = min(5, n_feasible)
-        for k in range(n_seeds):
+        objective = _polish_objective(mode, (eta_ae, v, beta, v_s), obs)
+        for k in range(min(5, n_feasible)):
             idx = int(order[k])
             x0 = np.array([ss.ravel()[idx], tt.ravel()[idx]])
             res = minimize(objective, x0, method="Nelder-Mead",
@@ -628,11 +621,11 @@ def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode: str, *,
             if np.isfinite(res.fun) and res.fun < best_rate:
                 best_rate = float(res.fun)
                 best_s, best_t = float(res.x[0]), float(res.x[1])
-        rate, eta_s, eta_t = _ceiling_minimum(objective, eta_ae, obs)
+        rate, eta_s, eta_t = _ceiling_minimum(lanes, eta_ae, obs)
         if rate < best_rate:
             best_rate, best_s, best_t = rate, eta_s, eta_t
-
-    nb = rate_nobypass()
+        else:  # a descent's rate is the float objective's: report the lane's
+            best_rate = lanes(eta_s=best_s, eta_t=best_t)[0].item()
 
     if mode == "rr" and nb is not None and best_rate < nb - 1e-9:
         # Only meaningful when the bypass actually hurts: on the flat part of

@@ -139,18 +139,21 @@ def _float_or_array(out):
 
 
 def beam_width(z, beam: BeamParams):
-    """Beam radius after propagating a distance z: W0 sqrt(1 + (z M^2 / z_R)^2)."""
-    ratio = np.asarray(z, dtype=float) * beam.quality / beam.rayleigh_range
+    """Beam radius after propagating a distance z >= 0: W0 sqrt(1 + (z M^2 / z_R)^2)."""
+    z = require("z", np.asarray(z, dtype=float), "[0, inf)")
+    ratio = z * beam.quality / beam.rayleigh_range
     return _float_or_array(beam.waist * np.sqrt(1.0 + ratio * ratio))
 
 
 def aperture_transmittance(rho, width):
     """Power fraction of a Gaussian beam of radius ``width`` through a centred
     circular aperture of radius ``rho``: 1 - exp(-2 rho^2 / W^2).  Where rho^2
-    or W^2 leaves a float's range the fraction is 0 or 1, as it rounds to."""
-    rho = np.asarray(rho, dtype=float)
+    or W^2 leaves a float's range the fraction is 0 or 1, as it rounds to;
+    rho lies in [0, inf] and W in (0, inf]."""
+    rho = require("rho", np.asarray(rho, dtype=float), "[0, inf]")
+    width = require("width", np.asarray(width, dtype=float), "(0, inf]")
     with np.errstate(over="ignore", divide="ignore"):
-        return _float_or_array(-np.expm1(-2.0 * rho * rho / np.asarray(width, dtype=float) ** 2))
+        return _float_or_array(-np.expm1(-2.0 * rho * rho / width ** 2))
 
 
 def focused_beam_width(z, r_e, geom: LinkGeometry, wavelength: float):
@@ -202,7 +205,8 @@ def lidar_size_bound(z, cfg: LidarConfig):
 
 def reflectivity_threshold(z, cfg: LidarConfig):
     """Smallest target reflectivity alpha for which the size bound is finite
-    at range z (a float or an array): alpha_min = 2 P_min kappa z^2 / (P_T W0^2)."""
+    at range z >= 0 (a float or an array): alpha_min = 2 P_min kappa z^2 / (P_T W0^2)."""
+    require("z", z, "[0, inf)")
     w0 = cfg.beam.waist
     return 2.0 * cfg.noise_floor * cfg.loss_factor * z * z / (cfg.transmit_power * w0 * w0)
 
@@ -211,6 +215,7 @@ def moonlight_background_power(r_a: float = 0.15, *, fov: float = FIELD_OF_VIEW,
                                bandwidth_nm: float = FILTER_BANDWIDTH_NM) -> float:
     """Noise floor of the satellite LIDAR: moonlight reflected by the Earth
     into the monitoring telescope.  P = a_E a_M R_M^2 r_A^2 (fov / d_EM^2) H B."""
+    require("r_a", r_a, "(0, inf)")
     return (EARTH_ALBEDO * MOON_ALBEDO * MOON_RADIUS ** 2 * r_a ** 2
             * fov / EARTH_MOON_DISTANCE ** 2
             * SOLAR_SPECTRAL_IRRADIANCE * bandwidth_nm)
@@ -220,6 +225,7 @@ def sky_background_power(r_b: float = 0.5, *, fov: float = FIELD_OF_VIEW,
                          bandwidth_nm: float = FILTER_BANDWIDTH_NM) -> float:
     """Noise floor of the ground LIDAR: night-sky radiance over the aperture.
     P = H_sky fov pi r_B^2 B."""
+    require("r_b", r_b, "(0, inf)")
     return SKY_SPECTRAL_RADIANCE * fov * math.pi * r_b ** 2 * bandwidth_nm
 
 
@@ -307,8 +313,10 @@ def slant_range(zenith_angle, altitude: float, earth_radius: float = EARTH_RADIU
 
 def atmospheric_extinction(zenith_angle, coefficient: float = 0.7):
     """One-way clear-air transmission exp(-beta sec(theta)) for a vertical
-    optical depth beta, at a float or an array of zenith angles."""
-    return _float_or_array(np.exp(-coefficient / np.cos(np.asarray(zenith_angle, dtype=float))))
+    optical depth beta, at a float or an array of zenith angles in [0, pi/2)."""
+    theta = require("zenith angle", np.asarray(zenith_angle, dtype=float),
+                    f"[0, {math.pi / 2.0})")
+    return _float_or_array(np.exp(-coefficient / np.cos(theta)))
 
 
 _BLOCK_LANES = 1 << 16  # (angle, z) lanes per elevation_sweep pass: a few MB

@@ -66,6 +66,10 @@ def test_bypass_ceiling_formula():
     obs = ChannelObservation(0.001, 0.1)
     assert max_bypass_transmissivity(0.5, 0.5, obs) == pytest.approx(0.001 / 0.25)
     assert max_bypass_transmissivity(0.5, 1.0, obs) == math.inf
+    # Arrays too, with inf where the bypass path has no loss to fill.
+    np.testing.assert_array_equal(
+        max_bypass_transmissivity(np.array([0.5, 1.0, 0.5]), np.array([0.5, 0.5, 1.0]), obs),
+        [0.001 / 0.25, math.inf, math.inf])
 
 
 def test_solve_attack_bypass_above_ceiling_is_infeasible():
@@ -363,8 +367,21 @@ def test_dr_m1_rate_at_the_cloner_limit_matches_high_precision_reference():
 
 
 def test_key_rate_point_raises_on_infeasible_hypothesis():
-    with pytest.raises(InfeasibleAttackError):
+    with pytest.raises(InfeasibleAttackError, match=re.escape(_ATTACK_REASONS[1])):
         key_rate_point(CvScenario(0.5, 0.01, 0.5, 300.0), OBS_NOMINAL, "rr")
+
+
+@pytest.mark.parametrize("entry", [key_rate_point, holevo_bound])
+def test_a_non_finite_feasible_lane_raises_naming_the_hypothesis(entry):
+    # Near the cloner limit (1 - eta_e = 5.1e-11, v_e = 2e10) the RR kernel's
+    # conditional invariants cancel and its lane is nan; the scenario runner
+    # exits 2 on the same lane.
+    scn = CvScenario(1.3595125675070868e-4, 0.321458212023971, 0.030985510963293567, 300.0)
+    obs = ChannelObservation(0.31375039049020814, 0.1)
+    assert solve_attack(scn, obs).feasible
+    with pytest.raises(FloatingPointError, match=r"non-finite key rate in mode rr at "
+                                                 r"CvScenario\(eta_ae=0.000135951"):
+        entry(scn, obs, "rr")
 
 
 def test_key_rate_point_scales_with_reconciliation_efficiency():
@@ -483,13 +500,17 @@ def test_slice_rows_equal_the_single_hypothesis_functions(draw):
         assert feasible[i] == want
         if not want:
             continue
-        assert rate[i] == pytest.approx(key_rate_point(scn, obs, mode), rel=1e-12, abs=1e-14)
-        assert chi[i] == pytest.approx(holevo_bound(scn, obs, mode), rel=1e-12, abs=1e-14)
-        if mode != "dr-m2":  # the polish objective is the float lane
+        # One engine path: the single-hypothesis functions are lanes, bit for bit.
+        assert rate[i] == key_rate_point(scn, obs, mode)
+        assert chi[i] == holevo_bound(scn, obs, mode)
+        assert rate[i] == p["beta"] * mutual_info(obs, p["v"]) - chi[i]
+        if mode == "dr-m2":
+            assert chi[i] == holevo_dr_m2_bound(p["eta_ae"], p["v"])
+        else:  # the float objective only steers the polish
             objective = _polish_objective(mode, (scn.eta_ae, scn.v, scn.beta, scn.v_s),
                                           obs)
             assert objective(np.array([scn.eta_s, scn.eta_t])) == \
-                key_rate_point(scn, obs, mode)
+                pytest.approx(key_rate_point(scn, obs, mode), rel=1e-12, abs=1e-14)
 
 
 @settings(deadline=None, max_examples=150)

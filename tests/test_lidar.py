@@ -95,6 +95,9 @@ def test_aperture_transmittance_saturates_out_of_float_range():
     assert aperture_transmittance(0.5, 1e160) == 0.0
     assert aperture_transmittance(1e160, 0.5) == 1.0
     assert aperture_transmittance(0.5, 1e-170) == 1.0
+    # rho in [0, inf] and width in (0, inf] take their infinite ends.
+    assert aperture_transmittance(0.5, math.inf) == 0.0
+    assert aperture_transmittance(math.inf, 0.5) == 1.0
 
 
 def test_diffraction_only_link_transmittance():
@@ -479,3 +482,37 @@ def test_more_power_helps_most_at_low_elevation():
     assert four.max_eta_ae[1] < 0.25 * one.max_eta_ae[1]
     assert one.max_eta_ae[1] > 0.25  # 1 W is not a useful bound down there
     assert four.max_eta_ae[0] < one.max_eta_ae[0] < 0.1  # both fine at zenith
+
+
+# ---------------------------------------------------------------------------
+# raw-number functions check their ranges
+# ---------------------------------------------------------------------------
+
+_BEAM, _LIDAR = nominal_comm_beam(), nominal_satellite_lidar()
+
+
+@pytest.mark.parametrize("call, name", [
+    # Past the horizon the transmission was above 1 (5.38 at 2 rad).
+    (lambda: atmospheric_extinction(2.0), "zenith angle"),
+    (lambda: atmospheric_extinction(np.array([0.1, -0.1])), "zenith angle"),
+    (lambda: atmospheric_extinction(math.nan), "zenith angle"),
+    # A negative range gave a positive width (0.531 m) or threshold (9.2e-4).
+    (lambda: beam_width(-1e5, _BEAM), "z"),
+    (lambda: beam_width(np.array([0.0, math.nan]), _BEAM), "z"),
+    (lambda: reflectivity_threshold(-1e5, _LIDAR), "z"),
+    (lambda: reflectivity_threshold(math.nan, _LIDAR), "z"),
+    # A negative radius gave a positive fraction (0.1175 at -0.5).
+    (lambda: aperture_transmittance(-0.5, 2.0), "rho"),
+    (lambda: aperture_transmittance(math.nan, 2.0), "rho"),
+    (lambda: aperture_transmittance(0.5, 0.0), "width"),
+    (lambda: aperture_transmittance(0.5, math.nan), "width"),
+    # A NaN aperture gave nan, a negative one a positive power.
+    (lambda: moonlight_background_power(-1.0), "r_a"),
+    (lambda: moonlight_background_power(math.nan), "r_a"),
+    (lambda: moonlight_background_power(math.inf), "r_a"),
+    (lambda: sky_background_power(-1.0), "r_b"),
+    (lambda: sky_background_power(math.nan), "r_b"),
+])
+def test_raw_number_functions_reject_arguments_out_of_range(call, name):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must lie in "):
+        call()

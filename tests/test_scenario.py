@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import satqkd
 from satqkd import cli, dv, scenario
-from satqkd.cv import ChannelObservation, CvScenario, InfeasibleAttackError
+from satqkd.cv import ChannelObservation, CvScenario, InfeasibleAttackError, key_rate_point
 from satqkd.dv import DvParams
 from satqkd.lidar import (
     BeamParams,
@@ -666,6 +666,41 @@ def test_partial_nobypass_infeasibility_leaves_cells_empty(tmp_path):
     assert cols["k_nobypass"] is None and cols["k_nobypass_pos"] is None
     cols = dict(zip(table.columns, high))
     assert cols["feasible_nobypass"] == 1 and cols["k_nobypass"] is not None
+
+
+@pytest.mark.parametrize("mode, t_eq, xi, v, start, stop", [
+    ("rr", 1e-3, 0.1, 300.0, 0.01, 0.5),
+    ("dr-m1", 0.5, 1.0, 1e7, 0.55, 1.0),
+])
+def test_worst_case_cells_are_single_hypothesis_rates(tmp_path, mode, t_eq, xi, v, start,
+                                                      stop):
+    # One engine path: k_worst is key_rate_point at the emitted argmin and
+    # k_nobypass at (eta_s, eta_t) = (0, 1), bit for bit, polish included.
+    buf = io.StringIO()
+    emit(run_scenario(write(tmp_path, f"""\
+        [scenario]
+        mode = cv-{mode}
+        [sweep]
+        variable = eta_ae
+        start = {start}
+        stop = {stop}
+        points = 3
+        [params]
+        t_eq = {t_eq}
+        xi = {xi}
+        v = {v}
+        grid_points = 21
+    """)), buf)
+    table = read_table(io.StringIO(buf.getvalue()))
+    obs = ChannelObservation(t_eq, xi)
+    for row in table.rows:
+        cols = dict(zip(table.columns, row))
+        at_argmin = CvScenario(cols["eta_ae"], cols["argmin_eta_s"], cols["argmin_eta_t"], v)
+        assert cols["k_worst"] == key_rate_point(at_argmin, obs, mode)
+        if cols["feasible_nobypass"]:
+            assert cols["k_nobypass"] == \
+                key_rate_point(CvScenario(cols["eta_ae"], 0.0, 1.0, v), obs, mode)
+    assert sum(row[-1] for row in table.rows) >= 2
 
 
 def test_fixed_point_sweep_marks_infeasible_rows(tmp_path):
