@@ -456,14 +456,17 @@ def rate_arrays(mode: str, *, eta_ae, t_eq, xi, eta_d=1.0, nu_el=0.0, v=None, be
     """(rate, chi, feasible) over broadcastable arrays of the :class:`CvScenario`
     and :class:`ChannelObservation` fields, one lane per hypothesis.
 
-    :func:`key_rate_point` and :func:`holevo_bound` are single lanes of it,
-    and a lane's bits do not depend on which fields are arrays.  Rate and chi
-    of an infeasible lane mean nothing.  DR-M2 ignores the bypass split and
-    ``v_s`` and is feasible everywhere.  :func:`checked_v` checks the mode and
-    every lane's v and xi; the caller validates the other fields (the
-    scenario runner probes both sweep ends).
+    The three arrays have the broadcast shape of all the fields, 0-d when
+    every field is a scalar.  :func:`key_rate_point` and :func:`holevo_bound`
+    are single lanes of it, and a lane's bits do not depend on which fields
+    are arrays.  Rate and chi of an infeasible lane mean nothing.  DR-M2
+    ignores the bypass split and ``v_s`` and is feasible everywhere.
+    :func:`checked_v` checks the mode and every lane's v and xi; the caller
+    validates the other fields (the scenario runner probes both sweep ends).
     """
     v = checked_v(mode, v, xi)
+    shape = np.broadcast_shapes(*map(np.shape, (eta_ae, t_eq, xi, eta_d, nu_el, v, beta,
+                                                 v_s, eta_s, eta_t)))
     t_ch = np.minimum(t_eq / eta_d, 1.0)
     # Infeasible lanes may be unphysical, or overflow on subnormal inputs.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -478,7 +481,9 @@ def rate_arrays(mode: str, *, eta_ae, t_eq, xi, eta_d=1.0, nu_el=0.0, v=None, be
             chi = _chi(mode, thermal_entropy, eta_ae, eta_e, v_e, eta_s, eta_t, v, t_ch, xi_rx)
             feasible = code == 0
         rate = beta * _mutual_info(t_ch, xi, eta_d, nu_el, v) - chi
-    return tuple(np.broadcast_arrays(rate, chi, feasible))
+    # All-scalar fields ran as 1-d lanes: they go back 0-d.
+    out = (rate, chi, feasible)
+    return tuple(np.broadcast_to(x, shape or (1,)).reshape(shape) for x in out)
 
 
 def _polish_objective(mode, scenario_like, obs):
@@ -621,11 +626,11 @@ def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode: str, *,
             if np.isfinite(res.fun) and res.fun < best_rate:
                 best_rate = float(res.fun)
                 best_s, best_t = float(res.x[0]), float(res.x[1])
+        # A descent's rate is the float objective's: compare the lane's.
+        best_rate = lanes(eta_s=best_s, eta_t=best_t)[0].item()
         rate, eta_s, eta_t = _ceiling_minimum(lanes, eta_ae, obs)
         if rate < best_rate:
             best_rate, best_s, best_t = rate, eta_s, eta_t
-        else:  # a descent's rate is the float objective's: report the lane's
-            best_rate = lanes(eta_s=best_s, eta_t=best_t)[0].item()
 
     if mode == "rr" and nb is not None and best_rate < nb - 1e-9:
         # Only meaningful when the bypass actually hurts: on the flat part of

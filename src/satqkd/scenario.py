@@ -300,6 +300,7 @@ _APERTURE_KEYS = {"r_a": (_float, 0.15), "r_b": (_float, 0.5)}
 def _noise_floor(background: Callable, aperture: str) -> Callable:
     """The default noise floor: the background through ``aperture``."""
     def default(mode: str, p: dict) -> float:
+        _positive(p, aperture)
         try:
             return finite_positive(f"[params] the default noise floor of {aperture} = "
                                    f"{p[aperture]}", lambda: background(p[aperture]))

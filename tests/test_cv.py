@@ -676,6 +676,16 @@ def test_rate_arrays_rejects_one_lane_above_the_mode_bounds(mode, v, xi, bound):
         rate_arrays(mode, eta_ae=0.5, t_eq=1e-3, **fields)
 
 
+@pytest.mark.parametrize("mode", ["rr", "dr-m1", "dr-m2"])
+def test_rate_arrays_returns_the_broadcast_shape_of_its_fields(mode):
+    scalar = rate_arrays(mode, eta_ae=0.5, t_eq=1e-3, xi=0.1, eta_s=0.01, eta_t=0.99)
+    assert [a.shape for a in scalar] == [()] * 3
+    grid = rate_arrays(mode, eta_ae=0.5, t_eq=np.array([1e-3, 2e-3]), xi=0.1,
+                       eta_s=np.array([[0.0], [0.01], [0.02]]), eta_t=0.99)
+    assert [a.shape for a in grid] == [(3, 2)] * 3
+    assert grid[0][1, 0] == scalar[0]
+
+
 @pytest.mark.parametrize("mode", ["cv-rr", "RR", "dr-m3"])
 def test_every_entry_rejects_an_unknown_mode(mode):
     scn = CvScenario(0.5, 0.0, 1.0, 300.0)

@@ -296,6 +296,8 @@ LOADER_DEFECTS = {
                                           {"altitude": -1e5}),
     "lidar-profile-r-a-1e200": ("lidar-profile", "z", 0.0, 5e5, {"r_a": 1e200}),
     "lidar-elevation-r-b-1e200": ("lidar-elevation", "zenith_deg", 0.0, 60.0, {"r_b": 1e200}),
+    "lidar-profile-r-a-negative": ("lidar-profile", "z", 0.0, 5e5, {"r_a": -1.0}),
+    "lidar-elevation-r-b-negative": ("lidar-elevation", "zenith_deg", 0.0, 60.0, {"r_b": -1.0}),
     "dv-wcp-mu-sweep": ("dv-wcp", "mu", 0.1, 1.0,
                         dict(eta_ch=1e-3, eta_d=0.9, p_dc=1e-7, e_d=0.01, f=1.16, q=1.0,
                              eta_ae=1e-4)),
@@ -363,7 +365,9 @@ def test_cli_defect_files_are_exit_one_or_run_clean(tmp_path, capsys, name):
              "lidar-elevation-altitude-1e-100": "altitude",
              "lidar-elevation-altitude-negative": "altitude",
              "lidar-profile-r-a-1e200": "r_a",
-             "lidar-elevation-r-b-1e200": "r_b"}.get(name, "loss_factor")
+             "lidar-elevation-r-b-1e200": "r_b",
+             "lidar-profile-r-a-negative": "[params] r_a must be > 0",
+             "lidar-elevation-r-b-negative": "[params] r_b must be > 0"}.get(name, "loss_factor")
     for command in ("validate", "run"):
         assert cli.main([command, path]) == 1
         out, err = capsys.readouterr()

@@ -3,15 +3,16 @@
 Usage, from anywhere::
 
     python3 tools/bench_record.py --parent PATH --change PATH --pr N \\
-        [--seconds 25] [--cv-seeds 1-5] [--desk-seeds 1-8] [--out BENCH_N.json]
+        [--out BENCH_N.json] [--tables-only]
 
 Both paths are roots of checkouts (git clones) holding ``src/``,
-``perfbench/`` and ``scenarios/``.  The record holds
+``perfbench/`` and ``scenarios/``.  Every perfbench run lasts ``run_seconds``
+from this repository's BENCHMARK.json.  The record holds
 
 * ``end_to_end``: per workload, ``perfbench/run.py --trace 0`` in alternating
-  pairs (parent first on odd seeds, change first on even ones), each metric's
-  runs and median, the rows attempted and failed, and whether every run was
-  correct;
+  pairs at seeds ``SEEDS`` (parent first on odd seeds, change first on even
+  ones), each metric's runs, median and interquartile range over the median,
+  the rows attempted and failed, and whether every run was correct;
 * ``per_layer``: one ``--trace 1`` run per side per workload, at its first seed;
 * ``shipped_tables``: the SHA-256 of each shipped scenario's table
   (``satqkd run NAME.ini --threads 1``), whether each side's tables are
@@ -37,13 +38,15 @@ import sys
 import time
 from importlib.metadata import version
 
-WORKLOADS = {"cv-rr-worstcase": "cv", "cv-dr-worstcase": "cv", "desk-mix": "desk"}
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("cv-rr-worstcase", "cv-dr-worstcase", "desk-mix")
+SEEDS = range(1, 11)
 END_TO_END = ("setup_s", "points_per_s", "scenario_s_p50", "peak_rss_mb")
 
 
-def _seeds(text: str) -> "list[int]":
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+def _run_seconds() -> float:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)["run_seconds"]
 
 
 def _env(root: str) -> dict:
@@ -96,26 +99,32 @@ def cell_diff(old: str, new: str) -> dict:
     return out
 
 
-def end_to_end(args) -> "tuple[dict, dict]":
+def _spread(values: "list[float]") -> float:
+    """Interquartile range over the median."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return (q3 - q1) / statistics.median(values)
+
+
+def end_to_end(args, seconds: float) -> "tuple[dict, dict]":
     sides = {"parent": args.parent, "change": args.change}
     record, per_layer = {}, {}
-    for workload, kind in WORKLOADS.items():
-        seeds = args.cv_seeds if kind == "cv" else args.desk_seeds
+    for workload in WORKLOADS:
         results = {side: [] for side in sides}
-        for seed in seeds:
+        for seed in SEEDS:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
-                results[side].append(perfbench(sides[side], workload, seed, args.seconds, 0))
+                results[side].append(perfbench(sides[side], workload, seed, seconds, 0))
                 print(f"{workload} seed {seed} {side}: "
                       f"{results[side][-1]['metrics']['points_per_s']['value']:.4g} points/s",
                       file=sys.stderr)
-        entry = {"seeds": seeds, "seconds_per_run": args.seconds,
+        entry = {"seeds": list(SEEDS), "seconds_per_run": seconds,
                  "order": "parent first on odd seeds, change first on even seeds"}
         for side, runs in results.items():
             summary = {}
             for name in END_TO_END:
                 values = [r["metrics"][name]["value"] for r in runs]
-                summary[name] = {"median": statistics.median(values), "runs": values,
+                summary[name] = {"median": statistics.median(values),
+                                 "iqr_over_median": _spread(values), "runs": values,
                                  "unit": runs[0]["metrics"][name]["unit"]}
             summary["attempted_rows"] = sum(r["attempted"] for r in runs)
             summary["failed_rows"] = sum(r["failed"] for r in runs)
@@ -123,9 +132,9 @@ def end_to_end(args) -> "tuple[dict, dict]":
             entry[side] = summary
         record[workload] = entry
         per_layer[workload] = {
-            "seed": seeds[0], "seconds": args.seconds,
+            "seed": SEEDS[0], "seconds": seconds,
             **{side: {name: m["value"] for name, m in perfbench(
-                root, workload, seeds[0], args.seconds, 1)["metrics"].items()}
+                root, workload, SEEDS[0], seconds, 1)["metrics"].items()}
                for side, root in sides.items()}}
     return record, per_layer
 
@@ -168,21 +177,19 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="root of the parent checkout")
     parser.add_argument("--change", required=True, help="root of the change checkout")
     parser.add_argument("--pr", type=int, required=True, help="number in the file name")
-    parser.add_argument("--seconds", type=float, default=25.0, help="per perfbench run")
-    parser.add_argument("--cv-seeds", type=_seeds, default=_seeds("1-5"))
-    parser.add_argument("--desk-seeds", type=_seeds, default=_seeds("1-8"))
     parser.add_argument("--out", help="output path (default BENCH_<pr>.json)")
     parser.add_argument("--tables-only", action="store_true",
                         help="record the shipped tables only, without perfbench runs")
     args = parser.parse_args(argv)
     args.parent, args.change = os.path.abspath(args.parent), os.path.abspath(args.change)
     tables, cli, diff = shipped(args)
-    e2e, per_layer = ({}, {}) if args.tables_only else end_to_end(args)
+    seconds = _run_seconds()
+    e2e, per_layer = ({}, {}) if args.tables_only else end_to_end(args, seconds)
     record = {
         "pr": args.pr,
         "claim": "none; no end-to-end metric is claimed to improve",
         "command": "python3 perfbench/run.py --workload W --seed S --seconds "
-                   f"{args.seconds:g} --trace 0, run from the root of each checkout",
+                   f"{seconds:g} --trace 0, run from the root of each checkout",
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     **{pkg: version(pkg) for pkg in ("numpy", "scipy", "mpmath")}},
         "end_to_end": e2e,
