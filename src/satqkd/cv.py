@@ -37,6 +37,8 @@ returned is a lane of :func:`rate_arrays`: file cells, the worst-case grid
 and ceiling scans, and :func:`key_rate_point` and :func:`holevo_bound`, so
 these agree bit for bit.  Only the worst-case polish's Nelder-Mead objective
 runs the kernels on floats (``_FLOAT_OPS``, :func:`thermal_entropy_float`).
+Its descents are :func:`minimize`, which takes the steps of SciPy's
+Nelder-Mead bit for bit, so the package needs NumPy alone.
 A mode is one of the strings ``"rr"``, ``"dr-m1"``, ``"dr-m2"``: the keys of
 ``MAX_V`` and ``MAX_XI``, which every entry point checks (:func:`checked_v`).
 Every other range, of a field or of an argument, is checked through
@@ -510,11 +512,64 @@ def _polish_objective(mode, scenario_like, obs):
     return objective
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first polish: the polish
-    is the package's only SciPy user, so ``import satqkd`` loads no SciPy."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(fun, x0, **kwargs)
+def minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int) -> SimpleNamespace:
+    """Nelder-Mead descent of ``fun`` from ``x0``: a namespace with the best
+    vertex ``x`` and ``fun``, the least value on the final simplex (NaN if
+    any vertex gave NaN).
+
+    It takes the steps of SciPy's ``_minimize_neldermead`` with
+    ``adaptive=False`` and no bounds, in the same floating-point operations,
+    so it returns the same bits [Nelder & Mead, Comput. J. 7, 308 (1965)]:
+    the start simplex scales each coordinate of x0 by 1.05 (0.00025 where it
+    is 0); reflection, expansion, contraction and shrink use 1, 2, 0.5 and
+    0.5; the simplex is re-sorted by ``argsort`` after every step; it stops
+    when every vertex lies within ``xatol`` of the best in each coordinate
+    and within ``fatol`` of it in value, or after ``maxiter - 1`` steps.
+    ``fun`` gets a copy of each point and returns a float.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([fun(x.copy()) for x in sim], dtype=float)
+    ind = np.argsort(fsim)
+    sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    for _ in range(maxiter - 1):
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = sim[:-1].sum(axis=0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = fun(xr.copy())
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = fun(xe.copy())
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = fun(xc.copy())
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = fun(xc.copy())
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = fun(sim[j].copy())
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return SimpleNamespace(x=sim[0], fun=np.min(fsim))
 
 
 def _ceiling_minimum(lanes, eta_ae: float, obs: ChannelObservation):
@@ -621,8 +676,7 @@ def worst_case_rate(eta_ae: float, obs: ChannelObservation, mode: str, *,
         for k in range(min(5, n_feasible)):
             idx = int(order[k])
             x0 = np.array([ss.ravel()[idx], tt.ravel()[idx]])
-            res = minimize(objective, x0, method="Nelder-Mead",
-                           options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 400})
+            res = minimize(objective, x0, xatol=1e-6, fatol=1e-12, maxiter=400)
             if np.isfinite(res.fun) and res.fun < best_rate:
                 best_rate = float(res.fun)
                 best_s, best_t = float(res.x[0]), float(res.x[1])

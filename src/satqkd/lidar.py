@@ -149,11 +149,14 @@ def aperture_transmittance(rho, width):
     """Power fraction of a Gaussian beam of radius ``width`` through a centred
     circular aperture of radius ``rho``: 1 - exp(-2 rho^2 / W^2).  Where rho^2
     or W^2 leaves a float's range the fraction is 0 or 1, as it rounds to;
-    rho lies in [0, inf] and W in (0, inf]."""
+    where both overflow or both underflow it is taken from rho / W.  rho lies
+    in [0, inf] and W in (0, inf]; (inf, inf) has no limit and gives nan."""
     rho = require("rho", np.asarray(rho, dtype=float), "[0, inf]")
     width = require("width", np.asarray(width, dtype=float), "(0, inf]")
-    with np.errstate(over="ignore", divide="ignore"):
-        return _float_or_array(-np.expm1(-2.0 * rho * rho / width ** 2))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = 2.0 * rho * rho / width ** 2
+        ratio = np.where(np.isnan(ratio), 2.0 * (rho / width) ** 2, ratio)
+    return _float_or_array(-np.expm1(-ratio))
 
 
 def focused_beam_width(z, r_e, geom: LinkGeometry, wavelength: float):

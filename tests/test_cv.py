@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
@@ -24,6 +25,7 @@ from satqkd.cv import (
     holevo_dr_m2_bound,
     key_rate_point,
     max_bypass_transmissivity,
+    minimize,
     mutual_info,
     rate_arrays,
     solve_attack,
@@ -600,6 +602,82 @@ def test_worst_case_raises_when_nothing_reproduces_the_channel():
 def test_worst_case_rejects_degenerate_grid():
     with pytest.raises(ValueError):
         worst_case_rate(0.01, OBS_NOMINAL, "rr", grid_points=1)
+
+
+# ---------------------------------------------------------------------------
+# the Nelder-Mead polish against SciPy's
+# ---------------------------------------------------------------------------
+
+POLISH_OPTIONS = {"xatol": 1e-6, "fatol": 1e-12, "maxiter": 400}
+
+
+def assert_descends_as_scipy(objective, x0, **options):
+    """cv.minimize and SciPy's Nelder-Mead give the same x bits and fun
+    (or both NaN) after the same number of objective calls; returns ours."""
+    calls = []
+
+    def counted(side):
+        def fun(x):
+            calls.append(side)
+            return objective(x)
+        return fun
+
+    ours = minimize(counted("ours"), x0, **options)
+    theirs = scipy.optimize.minimize(counted("scipy"), x0, method="Nelder-Mead",
+                                     options=options)
+    assert ours.x.tobytes() == theirs.x.tobytes()
+    assert ours.fun == theirs.fun or (math.isnan(ours.fun) and math.isnan(theirs.fun))
+    assert calls.count("ours") == calls.count("scipy")
+    return ours
+
+
+@st.composite
+def polish_starts(draw):
+    """(objective, x0): a worst-case polish objective and a feasible node of
+    the default 101-point grid, on the eta_s = 0 edge half of the time."""
+    mode, v = draw(st.sampled_from([("rr", 3.5), ("rr", 300.0), ("dr-m1", 1e7)]))
+    eta_ae = draw(st.floats(min_value=1e-4, max_value=1.0))
+    obs = ChannelObservation(draw(st.floats(min_value=1e-4, max_value=0.9)),
+                             draw(st.floats(min_value=0.0, max_value=0.5)))
+    axis = np.linspace(0.0, 1.0, 101)
+    ss, tt = np.meshgrid(axis, axis, indexing="ij")
+    _, _, feasible = rate_arrays(mode, eta_ae=eta_ae, **vars(obs), v=v, eta_s=ss, eta_t=tt)
+    nodes = np.argwhere(feasible)
+    if draw(st.booleans()) and feasible[0].any():
+        nodes = nodes[nodes[:, 0] == 0]
+    assume(len(nodes))
+    i, j = nodes[draw(st.integers(min_value=0, max_value=len(nodes) - 1))]
+    return _polish_objective(mode, (eta_ae, v, 1.0, 1.0), obs), np.array([ss[i, j], tt[i, j]])
+
+
+@settings(deadline=None, max_examples=60)
+@given(polish_starts())
+def test_polish_descents_take_scipys_steps(start):
+    assert_descends_as_scipy(*start, **POLISH_OPTIONS)
+
+
+def _bowl(x):
+    return (x[0] - 2.0) ** 2 + 3.0 * (x[1] - 1.5) ** 2
+
+
+@pytest.mark.parametrize("objective, x0, options", [
+    # +inf past a wall the minimum lies behind; x0 = 0 takes the 0.00025 step.
+    (lambda x: math.inf if x[0] + x[1] > 1.5 else _bowl(x), [0.0, 0.5], POLISH_OPTIONS),
+    # A NaN region the descent runs into.
+    (lambda x: math.nan if x[0] > 1.0 else _bowl(x), [0.3, 0.2], POLISH_OPTIONS),
+    # Cut short after four steps.
+    (_bowl, [0.3, 0.2], {**POLISH_OPTIONS, "maxiter": 5}),
+])
+def test_polish_takes_scipys_steps_on_fixed_objectives(objective, x0, options):
+    assert_descends_as_scipy(objective, np.array(x0), **options)
+
+
+def test_a_vertex_left_at_nan_gives_a_nan_minimum():
+    x0 = np.array([0.3, 0.2])
+    res = assert_descends_as_scipy(lambda x: 1.0 if np.array_equal(x, x0) else math.nan,
+                                   x0, **POLISH_OPTIONS)
+    assert math.isnan(res.fun)
+    assert res.x.tobytes() == x0.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,16 @@ def test_aperture_transmittance_saturates_out_of_float_range():
     # rho in [0, inf] and width in (0, inf] take their infinite ends.
     assert aperture_transmittance(0.5, math.inf) == 0.0
     assert aperture_transmittance(math.inf, 0.5) == 1.0
+    # Both overflow or both underflow: the fraction is that of rho / W.
+    for rho, width in [(1e160, 1e160), (1e155, 1e155), (1e-170, 1e-170), (1e200, 2e200)]:
+        assert aperture_transmittance(rho, width) == -math.expm1(-2.0 * (rho / width) ** 2)
+    assert aperture_transmittance(1e-170, 1e-170) == 0.8646647167633873
+    assert aperture_transmittance(0.0, 1e-170) == 0.0
+    np.testing.assert_array_equal(
+        aperture_transmittance(np.array([1e160, 0.5, 1e-170]), np.array([1e160, 1.0, 1e-170])),
+        [0.8646647167633873, -math.expm1(-0.5), 0.8646647167633873])
+    # (inf, inf) has no limit.
+    assert math.isnan(aperture_transmittance(math.inf, math.inf))
 
 
 def test_diffraction_only_link_transmittance():

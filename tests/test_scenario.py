@@ -1006,20 +1006,30 @@ def test_wcp_sweep_over_mu_equals_the_array_kernel(tmp_path):
 
 
 def test_import_and_non_cv_runs_load_no_scipy(tmp_path):
-    # SciPy serves only the CV worst-case polish, so a fresh interpreter that
-    # imports the package and runs a DV and a LIDAR file never loads it.
-    files = [write(tmp_path, DV_BASE, "dv.ini"), write(tmp_path, LIDAR_BASE, "lidar.ini")]
-    code = ("import sys, satqkd\n"
+    # A fresh interpreter that imports the package and runs a DV, a LIDAR and
+    # two polished CV worst-case files loads no third-party module but the
+    # package's declared dependencies: in particular no SciPy.
+    polished = QUICK_WORST.replace("grid_points = 21\n    refine = false", "grid_points = 5")
+    files = [write(tmp_path, DV_BASE, "dv.ini"), write(tmp_path, LIDAR_BASE, "lidar.ini"),
+             write(tmp_path, polished, "rr.ini"),
+             write(tmp_path, polished.replace("cv-rr", "cv-dr-m1").replace("v = 300", "v = 1e7"),
+                   "dr.ini")]
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import satqkd\n"
             "from satqkd.scenario import run_scenario\n"
             "for path in sys.argv[1:]:\n"
             "    run_scenario(path)\n"
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(satqkd.__file__)))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", code, *files], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    loaded = set(out.stdout.split()) - set(sys.stdlib_module_names)
+    with open(os.path.join(os.path.dirname(src), "pyproject.toml"), encoding="utf-8") as fh:
+        dependencies = re.search(r"^dependencies = \[(.*?)\]", fh.read(), re.M | re.S)[1]
+    assert loaded == {"satqkd", *re.findall(r'"([\w.-]+)', dependencies)}
 
 
 def test_golden_file_reproduces_byte_for_byte():

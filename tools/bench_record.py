@@ -20,7 +20,9 @@ from this repository's BENCHMARK.json.  The record holds
 * ``shipped_cli_wall_s``: the summed CLI wall time of all shipped files,
   parent, change, parent, change;
 * ``cell_diff``: per file whose table differs, per column, the number of
-  cells that differ and the largest absolute difference.
+  cells that differ and the largest absolute difference;
+* ``verdict``: per workload and end-to-end metric, judged with that metric's
+  ``better`` and ``bound`` from BENCHMARK.json (:func:`verdict`).
 
 It imports nothing from the checkouts: every measurement is a subprocess.
 """
@@ -36,17 +38,24 @@ import statistics
 import subprocess
 import sys
 import time
-from importlib.metadata import version
+from importlib.metadata import PackageNotFoundError, version
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("cv-rr-worstcase", "cv-dr-worstcase", "desk-mix")
 SEEDS = range(1, 11)
-END_TO_END = ("setup_s", "points_per_s", "scenario_s_p50", "peak_rss_mb")
 
 
-def _run_seconds() -> float:
+def _benchmark() -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        return json.load(fh)["run_seconds"]
+        return json.load(fh)
+
+
+def _version(package: str) -> "str | None":
+    """The installed version of ``package``, None if it is not installed."""
+    try:
+        return version(package)
+    except PackageNotFoundError:
+        return None
 
 
 def _env(root: str) -> dict:
@@ -105,7 +114,39 @@ def _spread(values: "list[float]") -> float:
     return (q3 - q1) / statistics.median(values)
 
 
-def end_to_end(args, seconds: float) -> "tuple[dict, dict]":
+def verdict(parent: "list[float]", change: "list[float]", better: str, bound: float) -> dict:
+    """One metric's runs, paired by seed, judged for a claimed gain and a bound.
+
+    ``won`` and ``lost`` count the pairs the change read better or worse in
+    (ties count for neither).  ``gain_rule_met``: the change won at least 9
+    in 10 pairs and its median is better than the parent's by more than the
+    parent's Q3 - Q1.  ``worse_than_bound``: its median is worse by more than
+    ``bound`` times the parent's.  ``unresolved``: either side's IQR over its
+    median exceeds ``bound``, unless every change run beats every parent run.
+    """
+    sign = 1.0 if better == "lower" else -1.0  # sign * value is lower when better
+    won = sum(sign * c < sign * p for p, c in zip(parent, change))
+    lost = sum(sign * c > sign * p for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    gain = sign * (statistics.median(parent) - statistics.median(change))
+    beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
+    return {"pairs": len(parent), "won": won, "lost": lost,
+            "gain_rule_met": won >= 0.9 * len(parent) and gain > q3 - q1,
+            "worse_than_bound": -gain > bound * abs(statistics.median(parent)),
+            "unresolved": (max(_spread(parent), _spread(change)) > bound
+                           and not beats_all)}
+
+
+def verdicts(e2e: dict, metrics: "list[dict]") -> dict:
+    """:func:`verdict` per workload and end-to-end metric of BENCHMARK.json."""
+    return {workload: {m["name"]: verdict(entry["parent"][m["name"]]["runs"],
+                                          entry["change"][m["name"]]["runs"],
+                                          m["better"], m["bound"])
+                       for m in metrics}
+            for workload, entry in e2e.items()}
+
+
+def end_to_end(args, seconds: float, metrics: "list[str]") -> "tuple[dict, dict]":
     sides = {"parent": args.parent, "change": args.change}
     record, per_layer = {}, {}
     for workload in WORKLOADS:
@@ -121,7 +162,7 @@ def end_to_end(args, seconds: float) -> "tuple[dict, dict]":
                  "order": "parent first on odd seeds, change first on even seeds"}
         for side, runs in results.items():
             summary = {}
-            for name in END_TO_END:
+            for name in metrics:
                 values = [r["metrics"][name]["value"] for r in runs]
                 summary[name] = {"median": statistics.median(values),
                                  "iqr_over_median": _spread(values), "runs": values,
@@ -183,15 +224,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.parent, args.change = os.path.abspath(args.parent), os.path.abspath(args.change)
     tables, cli, diff = shipped(args)
-    seconds = _run_seconds()
-    e2e, per_layer = ({}, {}) if args.tables_only else end_to_end(args, seconds)
+    benchmark = _benchmark()
+    seconds = benchmark["run_seconds"]
+    metrics = benchmark["end_to_end"]
+    e2e, per_layer = ({}, {}) if args.tables_only else end_to_end(
+        args, seconds, [m["name"] for m in metrics])
     record = {
         "pr": args.pr,
-        "claim": "none; no end-to-end metric is claimed to improve",
+        "verdict": verdicts(e2e, metrics),
         "command": "python3 perfbench/run.py --workload W --seed S --seconds "
                    f"{seconds:g} --trace 0, run from the root of each checkout",
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    **{pkg: version(pkg) for pkg in ("numpy", "scipy", "mpmath")}},
+                    **{pkg: _version(pkg) for pkg in ("numpy", "scipy", "mpmath")}},
         "end_to_end": e2e,
         "per_layer": per_layer,
         "shipped_tables": tables,
